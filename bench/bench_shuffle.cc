@@ -51,9 +51,10 @@ class PassThroughMapper final
 };
 
 /// Drains every group, touching each record's keyword span so the merge
-/// and decode cannot be optimized away.
+/// and decode cannot be optimized away. Serves both shuffle paths.
 class DrainReducer final
-    : public mapreduce::Reducer<CellKey, ShuffleObject, uint64_t> {
+    : public mapreduce::Reducer<CellKey, ShuffleObject, uint64_t>,
+      public mapreduce::FlatReducer<CellKey, ShuffleObject, uint64_t> {
  public:
   void Reduce(const CellKey&,
               mapreduce::GroupValues<CellKey, ShuffleObject>& values,
@@ -63,6 +64,17 @@ class DrainReducer final
       const ShuffleObject& x = values.value();
       checksum += x.id;
       if (!x.keywords.empty()) checksum += x.keywords.back();
+    }
+    ctx.Emit(checksum);
+  }
+  void Reduce(const CellKey&,
+              mapreduce::FlatGroupCursor<CellKey, ShuffleObject>& values,
+              mapreduce::ReduceContext<uint64_t>& ctx) override {
+    uint64_t checksum = 0;
+    while (values.Next()) {
+      const core::ShuffleObjectView x = values.value();
+      checksum += x.id;
+      if (x.num_keywords > 0) checksum += x.keywords[x.num_keywords - 1];
     }
     ctx.Emit(checksum);
   }
@@ -76,19 +88,7 @@ PassThroughSpec() {
   spec.partitioner = core::CellPartitioner;
   spec.sort_less = core::CellKeySortLess;
   spec.group_equal = core::CellKeyGroupEqual;
-  spec.flat_reducer_factory = [] {
-    return [](const CellKey&,
-              mapreduce::FlatGroupCursor<CellKey, ShuffleObject>& values,
-              mapreduce::ReduceContext<uint64_t>& ctx) {
-      uint64_t checksum = 0;
-      while (values.Next()) {
-        const core::ShuffleObjectView x = values.value();
-        checksum += x.id;
-        if (x.num_keywords > 0) checksum += x.keywords[x.num_keywords - 1];
-      }
-      ctx.Emit(checksum);
-    };
-  };
+  spec.flat_reducer_factory = [] { return std::make_unique<DrainReducer>(); };
   return spec;
 }
 

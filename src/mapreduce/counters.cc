@@ -10,10 +10,6 @@ Counters& Counters::operator=(const Counters& other) {
   return *this;
 }
 
-Counters& Counters::operator=(Counters&& other) noexcept {
-  return *this = other;  // delegate to copy-assign (snapshot under lock)
-}
-
 void Counters::Increment(const std::string& name, uint64_t delta) {
   std::lock_guard<std::mutex> lock(mutex_);
   values_[name] += delta;

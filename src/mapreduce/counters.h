@@ -17,12 +17,10 @@ class Counters {
  public:
   Counters() = default;
 
-  // Copyable and movable (value semantics over the snapshot) so that
+  // Copyable (value semantics over the snapshot; moves copy too) so that
   // JobStats can be returned by value; the mutex itself is not copied.
   Counters(const Counters& other) : values_(other.Snapshot()) {}
   Counters& operator=(const Counters& other);
-  Counters(Counters&& other) noexcept : values_(other.Snapshot()) {}
-  Counters& operator=(Counters&& other) noexcept;
 
   /// Adds `delta` to counter `name` (creating it at zero).
   void Increment(const std::string& name, uint64_t delta = 1);

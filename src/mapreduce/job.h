@@ -142,6 +142,11 @@ class Mapper {
  public:
   virtual ~Mapper() = default;
   virtual void Map(const In& record, MapContext<K, V>& ctx) = 0;
+  /// Runs once after the last Map of an attempt that consumed its whole
+  /// split (Hadoop's Mapper.cleanup), before the attempt's counters are
+  /// merged: the place to flush per-attempt state such as typed counter
+  /// tallies. A failed attempt is discarded without it.
+  virtual void Cleanup(MapContext<K, V>& /*ctx*/) {}
 };
 
 /// \brief Lazy iterator over the values of one reduce group, in the order
@@ -180,6 +185,9 @@ class Reducer {
   virtual ~Reducer() = default;
   virtual void Reduce(const K& group_key, GroupValues<K, V>& values,
                       ReduceContext<Out>& ctx) = 0;
+  /// Runs once after the last group of the attempt's partition (Hadoop's
+  /// Reducer.cleanup); see Mapper::Cleanup.
+  virtual void Cleanup(ReduceContext<Out>& /*ctx*/) {}
 };
 
 /// Concrete (non-virtual) group cursor of the flat-arena shuffle path;
@@ -187,6 +195,20 @@ class Reducer {
 /// a zero-copy view into the segment arena — instead of a decoded V.
 template <typename K, typename V>
 class FlatGroupCursor;
+
+/// \brief Reducer of the flat-arena shuffle path: Reduce runs once per
+/// group with a zero-copy cursor, Cleanup once after the partition's last
+/// group. One virtual call per *group*; every per-record call inside the
+/// cursor is direct. A class may implement both Reducer and FlatReducer
+/// (one Cleanup overrides both) to serve either shuffle mode.
+template <typename K, typename V, typename Out>
+class FlatReducer {
+ public:
+  virtual ~FlatReducer() = default;
+  virtual void Reduce(const K& group_key, FlatGroupCursor<K, V>& values,
+                      ReduceContext<Out>& ctx) = 0;
+  virtual void Cleanup(ReduceContext<Out>& /*ctx*/) {}
+};
 
 /// \brief Full description of a job: user logic plus the three pluggable
 /// Hadoop customization points the paper relies on (Section 2.1): the
@@ -202,16 +224,12 @@ struct JobSpec {
   /// Equivalence used to delimit reduce groups (coarser than sort_less).
   std::function<bool(const K&, const K&)> group_equal;
 
-  /// Flat-shuffle reduce entry point, used when FlatShuffleTraits<K, V> is
-  /// specialized and config.shuffle_mode == kCellBucketed. The outer
-  /// factory runs once per reduce attempt (stateful reducers capture their
-  /// state in the returned callable); the inner callable runs once per
-  /// group with a zero-copy cursor. The dispatch cost is one std::function
-  /// call per *group*; every per-record call inside the cursor is direct.
-  /// When unset, the job always takes the legacy path.
-  using FlatReduceFn =
-      std::function<void(const K&, FlatGroupCursor<K, V>&, ReduceContext<Out>&)>;
-  std::function<FlatReduceFn()> flat_reducer_factory;
+  /// Flat-shuffle reducer, used when FlatShuffleTraits<K, V> is
+  /// specialized and config.shuffle_mode == kCellBucketed. Like
+  /// reducer_factory it runs once per reduce attempt. When unset, the job
+  /// always takes the legacy path.
+  std::function<std::unique_ptr<FlatReducer<K, V, Out>>()>
+      flat_reducer_factory;
 };
 
 }  // namespace spq::mapreduce

@@ -301,6 +301,7 @@ StatusOr<JobOutput<Out>> RunJobWith(const JobSpec<In, K, V, Out>& spec,
         ++map_failures;
         continue;  // discard attempt state, retry
       }
+      mapper->Cleanup(ctx);
       // Spill: lay out each partition's sorted run and serialize it (to
       // disk when the job requests an out-of-core shuffle). Injected
       // storage faults are scoped to this attempt and salted with its
@@ -547,14 +548,15 @@ StatusOr<JobOutput<Out>> RunJob(const JobSpec<In, K, V, Out>& spec,
                   const std::vector<const FlatSegment*>& segments,
                   ReduceContext<Out>& ctx) {
             FlatMergeStream<K, V> stream(segments);
-            auto reduce_group = spec.flat_reducer_factory();
+            auto reducer = spec.flat_reducer_factory();
             bool has = stream.Advance();
             while (has) {
               const K group_key = stream.key();
               FlatGroupCursor<K, V> cursor(&stream, stream.bucket());
-              reduce_group(group_key, cursor, ctx);
+              reducer->Reduce(group_key, cursor, ctx);
               has = cursor.FinishGroup();
             }
+            reducer->Cleanup(ctx);
             return stream.status();
           };
       return internal::RunJobWith<FlatSegment>(spec, config, input,
@@ -582,6 +584,7 @@ StatusOr<JobOutput<Out>> RunJob(const JobSpec<In, K, V, Out>& spec,
           reducer->Reduce(group_key, cursor, ctx);
           has = cursor.FinishGroup();
         }
+        reducer->Cleanup(ctx);
         return stream.status();
       };
   return internal::RunJobWith<SortedSegment>(spec, config, input,

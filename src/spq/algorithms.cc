@@ -33,10 +33,9 @@ class SpqMapper final
         query_sig_(text::TermSignature(query_.keywords.ids())) {}
 
   void Map(const ShuffleObject& x, SpqMapContext& ctx) override {
-    const geo::CellId cell = grid_.CellOf(x.pos);
     if (x.is_data()) {
-      ctx.counters().Increment(counter::kDataObjects);
-      ctx.Emit(CellKey{cell, DataOrder(algo_)}, x);
+      tally_.Add(counter::kDataObjects);
+      ctx.Emit(CellKey{grid_.CellOf(x.pos), DataOrder(algo_)}, x);
       return;
     }
     // Signature screen ahead of the exact merge: a disjoint signature AND
@@ -47,7 +46,7 @@ class SpqMapper final
     // computed signature (warm-path inputs do; 0 means "unknown").
     if (options_.keyword_prefilter && options_.signature_prefilter &&
         x.keyword_sig != 0 && (x.keyword_sig & query_sig_) == 0) {
-      ctx.counters().Increment(counter::kFeaturesPruned);
+      tally_.Add(counter::kFeaturesPruned);
       return;
     }
     // Map-side pruning (line 9 of Algorithm 1): features sharing no term
@@ -59,16 +58,16 @@ class SpqMapper final
         KeywordData(x), KeywordCount(x), query_.keywords.ids().data(),
         query_.keywords.ids().size());
     if (common == 0 && options_.keyword_prefilter) {
-      ctx.counters().Increment(counter::kFeaturesPruned);
+      tally_.Add(counter::kFeaturesPruned);
       return;
     }
-    ctx.counters().Increment(counter::kFeaturesKept);
+    tally_.Add(counter::kFeaturesKept);
     const double order = FeatureOrder(algo_, query_, x, common);
     // Every emission borrows the input record's keyword storage (the map
     // input is the term pool and outlives the job), so Lemma-1 duplication
     // below is an O(1) span copy per target cell, not a vector clone.
     const ShuffleObject borrowed = x.Borrowed();
-    ctx.Emit(CellKey{cell, order}, borrowed);
+    ctx.Emit(CellKey{grid_.CellOf(x.pos), order}, borrowed);
     // Lemma 1: duplicate into every other cell within MINDIST <= r.
     // Scratch overload: one target list reused across every feature this
     // mapper instance maps (a per-feature allocation otherwise).
@@ -76,9 +75,10 @@ class SpqMapper final
     for (geo::CellId target : targets_scratch_) {
       ctx.Emit(CellKey{target, order}, borrowed);
     }
-    ctx.counters().Increment(counter::kFeatureDuplicates,
-                             targets_scratch_.size());
+    tally_.Add(counter::kFeatureDuplicates, targets_scratch_.size());
   }
+
+  void Cleanup(SpqMapContext& ctx) override { tally_.FlushTo(ctx.counters()); }
 
  private:
   Algorithm algo_;
@@ -87,29 +87,58 @@ class SpqMapper final
   SpqJobOptions options_;
   uint64_t query_sig_;  ///< TermSignature(q.W), hoisted out of Map
   std::vector<geo::CellId> targets_scratch_;  ///< CellsWithinDist reuse
+  counter::Tally tally_;  ///< this attempt's counts; see Cleanup
 };
 
-/// Thin Reducer shims over the shared reduce cores (reduce_core.h).
+/// Thin shim over the shared reduce cores (reduce_core.h), serving both
+/// shuffle paths: the runtime builds one instance per reduce attempt and
+/// feeds it every group of the partition, so the tally spans the task.
 class SpqReducer final
-    : public mapreduce::Reducer<CellKey, ShuffleObject, ResultEntry> {
+    : public mapreduce::Reducer<CellKey, ShuffleObject, ResultEntry>,
+      public mapreduce::FlatReducer<CellKey, ShuffleObject, ResultEntry> {
  public:
   SpqReducer(Algorithm algo, Query query, SpqJobOptions options)
       : algo_(algo), query_(std::move(query)), options_(options) {}
 
   void Reduce(const CellKey&, SpqGroupValues& values,
               SpqReduceContext& ctx) override {
-    reduce_core::RunReduceOwned(algo_, options_, query_, values,
-                                ctx.counters(),
-                                [&ctx](const ResultEntry& e) { ctx.Emit(e); });
+    ReduceGroup(values, ctx);
+  }
+  void Reduce(const CellKey&,
+              mapreduce::FlatGroupCursor<CellKey, ShuffleObject>& values,
+              SpqReduceContext& ctx) override {
+    ReduceGroup(values, ctx);
+  }
+  void Cleanup(SpqReduceContext& ctx) override {
+    tally_.FlushTo(ctx.counters());
   }
 
  private:
+  template <typename Values>
+  void ReduceGroup(Values& values, SpqReduceContext& ctx) {
+    reduce_core::RunReduceOwned(algo_, options_, query_, values, tally_,
+                                [&ctx](const ResultEntry& e) { ctx.Emit(e); });
+  }
+
   Algorithm algo_;
   Query query_;
   SpqJobOptions options_;
+  counter::Tally tally_;
 };
 
 }  // namespace
+
+namespace counter {
+
+void Tally::FlushTo(mapreduce::Counters& out) {
+  for (uint8_t id = 0; id < kNumCounters; ++id) {
+    if (touched_ & (1u << id)) out.Increment(kNames[id], values_[id]);
+  }
+  values_ = {};
+  touched_ = 0;
+}
+
+}  // namespace counter
 
 std::string AlgorithmName(Algorithm algo) {
   switch (algo) {
@@ -159,17 +188,10 @@ MakeSpqJobSpec(Algorithm algo, const Query& query,
   spec.partitioner = CellPartitioner;
   spec.sort_less = CellKeySortLess;
   spec.group_equal = CellKeyGroupEqual;
-  // Flat-arena path (ShuffleMode::kCellBucketed): same reduce cores, fed
+  // Flat-arena path (ShuffleMode::kCellBucketed): the same reducer, fed
   // zero-copy ShuffleObjectViews through the non-virtual cursor.
   spec.flat_reducer_factory = [algo, query, options]() {
-    return [algo, query, options](
-               const CellKey&,
-               mapreduce::FlatGroupCursor<CellKey, ShuffleObject>& values,
-               mapreduce::ReduceContext<ResultEntry>& ctx) {
-      reduce_core::RunReduceOwned(algo, options, query, values,
-                                  ctx.counters(),
-                                  [&ctx](const ResultEntry& e) { ctx.Emit(e); });
-    };
+    return std::make_unique<SpqReducer>(algo, query, options);
   };
   return spec;
 }

@@ -1,6 +1,9 @@
 #ifndef SPQ_SPQ_ALGORITHMS_H_
 #define SPQ_SPQ_ALGORITHMS_H_
 
+#include <array>
+#include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "common/simd.h"
@@ -36,26 +39,73 @@ double DataOrder(Algorithm algo);
 double FeatureOrder(Algorithm algo, const Query& query,
                     const ShuffleObject& x, std::size_t common);
 
-/// Counter names written by the mappers/reducers (exposed for benches and
-/// tests; values are in JobStats::counters after a run).
+/// The SPQ work counters written by the mappers/reducers. Tasks count into
+/// a typed per-attempt Tally; after a run the values are in
+/// JobStats::counters under the names in kNames (exposed for benches and
+/// tests: `stats.counters.Get(counter::Name(counter::kGroups))`).
 namespace counter {
-inline constexpr char kDataObjects[] = "map.data_objects";
-inline constexpr char kFeaturesKept[] = "map.features_kept";
-inline constexpr char kFeaturesPruned[] = "map.features_pruned";
-inline constexpr char kFeatureDuplicates[] = "map.feature_duplicates";
-inline constexpr char kFeaturesExamined[] = "reduce.features_examined";
-inline constexpr char kPairsTested[] = "reduce.pairs_tested";
-inline constexpr char kEarlyTerminations[] = "reduce.early_terminations";
-inline constexpr char kGroups[] = "reduce.groups";
-/// Warm reduce groups skipped whole by the cell text summary (signature
-/// AND empty, or the cell's keyword-length range cannot produce a positive
-/// score). Only the warm serving path maintains cell summaries, so this
-/// stays 0 on cold runs.
-inline constexpr char kCellsPruned[] = "reduce.cells_pruned";
-/// Cell-summary screening tests performed (one per warm group while
-/// signature_prefilter is on and the query has keywords); the
-/// cells-pruned rate of a workload is kCellsPruned / kSignatureChecks.
-inline constexpr char kSignatureChecks[] = "reduce.signature_checks";
+enum Id : uint8_t {
+  kDataObjects,
+  kFeaturesKept,
+  kFeaturesPruned,
+  kFeatureDuplicates,
+  kFeaturesExamined,
+  kPairsTested,
+  kEarlyTerminations,
+  kGroups,
+  /// Warm reduce groups skipped whole by the cell text summary (signature
+  /// AND empty, or the cell's keyword-length range cannot produce a
+  /// positive score). Only the warm serving path maintains cell summaries,
+  /// so this stays 0 on cold runs.
+  kCellsPruned,
+  /// Cell-summary screening tests performed (one per warm group while
+  /// signature_prefilter is on and the query has keywords); the
+  /// cells-pruned rate of a workload is kCellsPruned / kSignatureChecks.
+  kSignatureChecks,
+  kNumCounters,
+};
+
+/// The JobStats::counters name of every Id, in enum order.
+inline constexpr const char* kNames[] = {
+    "map.data_objects",          "map.features_kept",
+    "map.features_pruned",       "map.feature_duplicates",
+    "reduce.features_examined",  "reduce.pairs_tested",
+    "reduce.early_terminations", "reduce.groups",
+    "reduce.cells_pruned",       "reduce.signature_checks",
+};
+static_assert(std::size(kNames) == kNumCounters,
+              "counter::kNames needs exactly one name per counter::Id");
+
+inline const char* Name(Id id) { return kNames[id]; }
+
+/// \brief Typed per-task tally of the SPQ counters: a plain integer add per
+/// bump, where a named mapreduce::Counters::Increment builds a string,
+/// takes a mutex and walks a map.
+///
+/// Single-writer contract: a Tally belongs to ONE map or reduce task
+/// attempt and is only touched by the thread running that attempt, so it
+/// needs no synchronization. It reaches the job exactly once, through
+/// FlushTo into the attempt's context counters at the end of the attempt
+/// (Mapper::Cleanup / Reducer::Cleanup, or after a warm reduce partition's
+/// group loop); the runtime merges that context only when the attempt
+/// succeeds, so a failed attempt's tally is discarded with it.
+class Tally {
+ public:
+  void Add(Id id, uint64_t delta = 1) {
+    values_[id] += delta;
+    touched_ |= 1u << id;
+  }
+
+  /// Increments every counter touched since the last flush into `out`,
+  /// zero-delta touches included, then resets. The resulting named
+  /// snapshot is exactly what one Increment per Add would have produced:
+  /// same names present (untouched ones absent), same sums.
+  void FlushTo(mapreduce::Counters& out);
+
+ private:
+  std::array<uint64_t, kNumCounters> values_{};
+  uint32_t touched_ = 0;  ///< bit i set <=> Id i was Add()ed
+};
 }  // namespace counter
 
 /// \brief How a reduce group joins its surviving features against the

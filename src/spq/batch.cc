@@ -42,10 +42,9 @@ class BatchMapper final
   }
 
   void Map(const ShuffleObject& x, BatchMapContext& ctx) override {
-    const geo::CellId cell = grid_.CellOf(x.pos);
     if (x.is_data()) {
-      ctx.counters().Increment(counter::kDataObjects);
-      ctx.Emit(BatchCellKey{cell, kDataQuery, 0.0}, x);
+      tally_.Add(counter::kDataObjects);
+      ctx.Emit(BatchCellKey{grid_.CellOf(x.pos), kDataQuery, 0.0}, x);
       return;
     }
     // Exact dictionary screen: when the batch's distinct query terms fit
@@ -56,20 +55,10 @@ class BatchMapper final
     // pairs on keyword-dense features, so at batch scale the merges it
     // fails to skip used to dominate the map phase.
     if (dict_enabled_ && options_.keyword_prefilter) {
-      MapWithDict(x, cell, ctx);
+      MapWithDict(x, ctx);
       return;
     }
-    // One borrowed alias serves every query's emissions: the batch
-    // multiplies the per-feature emission count by the batch size, so the
-    // O(1) span copy (vs. a keyword-vector clone per copy) matters even
-    // more here than in the single-query mapper.
-    const ShuffleObject borrowed = x.Borrowed();
-    // Counter tallies for the whole query loop, flushed once per record:
-    // Counters::Increment is a mutex + string-keyed map lookup, which at
-    // one call per (feature, query) pair was the single largest map-phase
-    // cost of a batch job — and the per-pair bookkeeping is exactly the
-    // kind of work batching exists to amortize. Totals are unchanged.
-    uint64_t pruned = 0, kept = 0, dups = 0;
+    FeatureEmitter emit(*this, x, ctx);
     for (uint32_t q = 0; q < queries_->size(); ++q) {
       const Query& query = (*queries_)[q];
       // Signature screen (see SpqMapper): one AND replaces the exact merge
@@ -77,7 +66,7 @@ class BatchMapper final
       // a large batch. Same drop, same counter as the prefilter below.
       if (options_.keyword_prefilter && options_.signature_prefilter &&
           x.keyword_sig != 0 && (x.keyword_sig & query_sigs_[q]) == 0) {
-        ++pruned;
+        tally_.Add(counter::kFeaturesPruned);
         continue;
       }
       // Span accessors, not x.keywords: warm-path inputs are borrowed.
@@ -85,31 +74,15 @@ class BatchMapper final
           KeywordData(x), KeywordCount(x), query.keywords.ids().data(),
           query.keywords.ids().size());
       if (common == 0 && options_.keyword_prefilter) {
-        ++pruned;
+        tally_.Add(counter::kFeaturesPruned);
         continue;
       }
-      ++kept;
-      const double order = FeatureOrder(algo_, query, x, common);
-      ctx.Emit(BatchCellKey{cell, q + 1, order}, borrowed);
-      // Scratch overload: the per-(feature, query) target-list allocation
-      // would otherwise multiply by the batch size.
-      grid_.CellsWithinDist(x.pos, query.radius, targets_scratch_);
-      for (geo::CellId target : targets_scratch_) {
-        ctx.Emit(BatchCellKey{target, q + 1, order}, borrowed);
-      }
-      dups += targets_scratch_.size();
+      emit.Kept(q, common);
     }
-    if (pruned > 0) {
-      ctx.counters().Increment(counter::kFeaturesPruned, pruned);
-    }
-    if (kept > 0) {
-      // kFeatureDuplicates flushes under the kept guard (not dups > 0):
-      // the per-pair code incremented it by targets.size() for every kept
-      // feature, so the counter existed whenever a feature was kept even
-      // if no query ever needed Lemma-1 duplication.
-      ctx.counters().Increment(counter::kFeaturesKept, kept);
-      ctx.counters().Increment(counter::kFeatureDuplicates, dups);
-    }
+  }
+
+  void Cleanup(BatchMapContext& ctx) override {
+    tally_.FlushTo(ctx.counters());
   }
 
   static constexpr uint32_t kDataQuery = 0;
@@ -150,10 +123,50 @@ class BatchMapper final
     dict_enabled_ = true;
   }
 
+  /// Emission side of one feature's query loop. One borrowed alias serves
+  /// every query's emissions: the batch multiplies the per-feature
+  /// emission count by the batch size, so the O(1) span copy (vs. a
+  /// keyword-vector clone per copy) matters even more here than in the
+  /// single-query mapper. The feature's cell is computed at its first kept
+  /// query — a feature every query prunes never needs it.
+  class FeatureEmitter {
+   public:
+    FeatureEmitter(BatchMapper& mapper, const ShuffleObject& x,
+                   BatchMapContext& ctx)
+        : m_(mapper), x_(x), borrowed_(x.Borrowed()), ctx_(ctx) {}
+
+    /// Emits the feature for query q (|x.W ∩ q.W| = common > 0, or the
+    /// prefilter ablation) into its own cell and every Lemma-1 target.
+    void Kept(uint32_t q, std::size_t common) {
+      if (!has_cell_) {
+        cell_ = m_.grid_.CellOf(x_.pos);
+        has_cell_ = true;
+      }
+      const Query& query = (*m_.queries_)[q];
+      const double order = FeatureOrder(m_.algo_, query, x_, common);
+      ctx_.Emit(BatchCellKey{cell_, q + 1, order}, borrowed_);
+      // Scratch overload: the per-(feature, query) target-list allocation
+      // would otherwise multiply by the batch size.
+      m_.grid_.CellsWithinDist(x_.pos, query.radius, m_.targets_scratch_);
+      for (geo::CellId target : m_.targets_scratch_) {
+        ctx_.Emit(BatchCellKey{target, q + 1, order}, borrowed_);
+      }
+      m_.tally_.Add(counter::kFeaturesKept);
+      m_.tally_.Add(counter::kFeatureDuplicates, m_.targets_scratch_.size());
+    }
+
+   private:
+    BatchMapper& m_;
+    const ShuffleObject& x_;
+    const ShuffleObject borrowed_;
+    BatchMapContext& ctx_;
+    geo::CellId cell_ = 0;
+    bool has_cell_ = false;
+  };
+
   /// The dict-screened feature path: one linear walk tags the feature's
   /// dictionary terms, then every query costs two ANDs and a popcount.
-  void MapWithDict(const ShuffleObject& x, geo::CellId cell,
-                   BatchMapContext& ctx) {
+  void MapWithDict(const ShuffleObject& x, BatchMapContext& ctx) {
     TermMask fmask{};
     const uint32_t* kw = KeywordData(x);
     const std::size_t n = KeywordCount(x);
@@ -166,34 +179,17 @@ class BatchMapper final
         ++di;
       }
     }
-    const ShuffleObject borrowed = x.Borrowed();
-    uint64_t pruned = 0, kept = 0, dups = 0;
+    FeatureEmitter emit(*this, x, ctx);
     for (uint32_t q = 0; q < queries_->size(); ++q) {
       int common_bits = 0;
       for (std::size_t w = 0; w < kDictWords; ++w) {
         common_bits += std::popcount(fmask[w] & query_masks_[q][w]);
       }
-      const std::size_t common = static_cast<std::size_t>(common_bits);
-      if (common == 0) {
-        ++pruned;
+      if (common_bits == 0) {
+        tally_.Add(counter::kFeaturesPruned);
         continue;
       }
-      ++kept;
-      const Query& query = (*queries_)[q];
-      const double order = FeatureOrder(algo_, query, x, common);
-      ctx.Emit(BatchCellKey{cell, q + 1, order}, borrowed);
-      grid_.CellsWithinDist(x.pos, query.radius, targets_scratch_);
-      for (geo::CellId target : targets_scratch_) {
-        ctx.Emit(BatchCellKey{target, q + 1, order}, borrowed);
-      }
-      dups += targets_scratch_.size();
-    }
-    if (pruned > 0) {
-      ctx.counters().Increment(counter::kFeaturesPruned, pruned);
-    }
-    if (kept > 0) {
-      ctx.counters().Increment(counter::kFeaturesKept, kept);
-      ctx.counters().Increment(counter::kFeatureDuplicates, dups);
+      emit.Kept(q, static_cast<std::size_t>(common_bits));
     }
   }
 
@@ -206,12 +202,13 @@ class BatchMapper final
   std::vector<uint32_t> dict_terms_;  ///< sorted distinct query terms
   std::vector<TermMask> query_masks_;  ///< per-query dictionary bits
   bool dict_enabled_ = false;
+  counter::Tally tally_;  ///< this attempt's counts; see Cleanup
 };
 
 /// Shared group protocol of both shuffle paths: groups arrive per cell as
 /// (cell, 0) = the cell's data objects, then (cell, q+1) = query q's
-/// sorted features. The state outlives one group (it is owned by the
-/// reducer / per-task closure), so the cache carries across the groups of
+/// sorted features. The state outlives one group (the reducer owns it for
+/// its whole reduce attempt), so the cache carries across the groups of
 /// one cell and is invalidated when the cell changes — cells without data
 /// objects produce no sentinel group.
 ///
@@ -238,38 +235,13 @@ struct BatchCellCache {
   }
 };
 
-template <typename Values>
-void BatchReduceGroup(Algorithm algo, const SpqJobOptions& options,
-                      const std::vector<Query>& queries,
-                      BatchCellCache& state, const BatchCellKey& group_key,
-                      Values& values, BatchReduceContext& ctx) {
-  if (group_key.query == BatchMapper::kDataQuery) {
-    state.Rebind(group_key.cell);
-    while (values.Next()) state.cell.Add(values.value());
-    return;
-  }
-  if (!state.has_cache || state.cache_cell != group_key.cell) {
-    // No data objects in this cell: results are necessarily empty, but
-    // the group must still be drained consistently (the runtime skips
-    // leftovers anyway). Run with an empty cache for uniformity.
-    state.Rebind(group_key.cell);
-  }
-  const uint32_t q = group_key.query - 1;
-  if (q >= queries.size()) return;  // defensive
-  const Query& query = queries[q];
-  // Owned ref: the cache is private to this reduce task, and the index is
-  // still allowed to build lazily at the cell's first probe.
-  reduce_core::OwnedCellRef cell_ref{&state.cell, &state.index};
-  reduce_core::RunReduce(algo, options, query, cell_ref, state.scratch,
-                         values, ctx.counters(),
-                         [&ctx, q](const ResultEntry& e) {
-                           ctx.Emit(BatchResultEntry{q, e});
-                         });
-}
-
+/// Serves both shuffle paths: the runtime builds one instance per reduce
+/// attempt, so the per-cell cache and the tally span the attempt's groups.
 class BatchReducer final
     : public mapreduce::Reducer<BatchCellKey, ShuffleObject,
-                                BatchResultEntry> {
+                                BatchResultEntry>,
+      public mapreduce::FlatReducer<BatchCellKey, ShuffleObject,
+                                    BatchResultEntry> {
  public:
   BatchReducer(Algorithm algo,
                std::shared_ptr<const std::vector<Query>> queries,
@@ -278,15 +250,50 @@ class BatchReducer final
 
   void Reduce(const BatchCellKey& group_key, BatchGroupValues& values,
               BatchReduceContext& ctx) override {
-    BatchReduceGroup(algo_, options_, *queries_, state_, group_key, values,
-                     ctx);
+    ReduceGroup(group_key, values, ctx);
+  }
+  void Reduce(
+      const BatchCellKey& group_key,
+      mapreduce::FlatGroupCursor<BatchCellKey, ShuffleObject>& values,
+      BatchReduceContext& ctx) override {
+    ReduceGroup(group_key, values, ctx);
+  }
+  void Cleanup(BatchReduceContext& ctx) override {
+    tally_.FlushTo(ctx.counters());
   }
 
  private:
+  template <typename Values>
+  void ReduceGroup(const BatchCellKey& group_key, Values& values,
+                   BatchReduceContext& ctx) {
+    if (group_key.query == BatchMapper::kDataQuery) {
+      state_.Rebind(group_key.cell);
+      while (values.Next()) state_.cell.Add(values.value());
+      return;
+    }
+    if (!state_.has_cache || state_.cache_cell != group_key.cell) {
+      // No data objects in this cell: results are necessarily empty, but
+      // the group must still be drained consistently (the runtime skips
+      // leftovers anyway). Run with an empty cache for uniformity.
+      state_.Rebind(group_key.cell);
+    }
+    const uint32_t q = group_key.query - 1;
+    if (q >= queries_->size()) return;  // defensive
+    // Owned ref: the cache is private to this reduce task, and the index
+    // is still allowed to build lazily at the cell's first probe.
+    reduce_core::OwnedCellRef cell_ref{&state_.cell, &state_.index};
+    reduce_core::RunReduce(algo_, options_, (*queries_)[q], cell_ref,
+                           state_.scratch, values, tally_,
+                           [&ctx, q](const ResultEntry& e) {
+                             ctx.Emit(BatchResultEntry{q, e});
+                           });
+  }
+
   Algorithm algo_;
   std::shared_ptr<const std::vector<Query>> queries_;
   SpqJobOptions options_;
   BatchCellCache state_;
+  counter::Tally tally_;
 };
 
 }  // namespace
@@ -309,18 +316,11 @@ MakeBatchSpqJobSpec(Algorithm algo, const std::vector<Query>& queries,
   spec.partitioner = BatchPartitioner;
   spec.sort_less = BatchKeySortLess;
   spec.group_equal = BatchKeyGroupEqual;
-  // Flat-arena path: the same group protocol with the per-cell cache in
-  // per-task state captured by the closure (data views decay into the
-  // cache's SoA arrays immediately, so no pool reference is retained).
+  // Flat-arena path: the same reducer and group protocol (data views decay
+  // into the cache's SoA arrays immediately, so no pool reference is
+  // retained).
   spec.flat_reducer_factory = [algo, shared_queries, options]() {
-    auto state = std::make_shared<BatchCellCache>();
-    return [algo, shared_queries, options, state](
-               const BatchCellKey& group_key,
-               mapreduce::FlatGroupCursor<BatchCellKey, ShuffleObject>& values,
-               BatchReduceContext& ctx) {
-      BatchReduceGroup(algo, options, *shared_queries, *state, group_key,
-                       values, ctx);
-    };
+    return std::make_unique<BatchReducer>(algo, shared_queries, options);
   };
   return spec;
 }

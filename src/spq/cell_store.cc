@@ -30,15 +30,20 @@ class StoreBuildMapper final
   void Map(const ShuffleObject& x,
            mr::MapContext<CellKey, ShuffleObject>& ctx) override {
     if (!x.is_data()) return;
-    ctx.counters().Increment(counter::kDataObjects);
+    tally_.Add(counter::kDataObjects);
     // The secondary component is irrelevant inside the store (every
     // record is data); 0.0 keeps records in dataset order under the
     // stable tie-break, matching the order the cold reducers see.
     ctx.Emit(CellKey{grid_.CellOf(x.pos), 0.0}, x);
   }
 
+  void Cleanup(mr::MapContext<CellKey, ShuffleObject>& ctx) override {
+    tally_.FlushTo(ctx.counters());
+  }
+
  private:
   geo::UniformGrid grid_;
+  counter::Tally tally_;
 };
 
 /// Re-owning copy of a zero-copy record view (the store outlives the
@@ -148,7 +153,7 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::Build(
           spec, config, input, spill_partition, reduce_partition)));
   store->build_stats_ = std::move(output.stats);
   store->data_objects_ =
-      store->build_stats_.counters.Get(counter::kDataObjects);
+      store->build_stats_.counters.Get(counter::Name(counter::kDataObjects));
 
   // Cell keyword summaries: absorb every keyword-bearing feature into its
   // own cell and every cell Lemma-1 duplication could copy it into at the
@@ -1047,16 +1052,16 @@ namespace {
 /// the batched job, whose cold path never counts feature-less cells), and
 /// group cells arrive in ascending order on both shuffle paths, so the
 /// accounting is a two-pointer walk.
-template <typename Ctx>
 class DataOnlyGroupAccountant {
  public:
-  DataOnlyGroupAccountant(const std::vector<geo::CellId>* cells, Ctx& ctx)
-      : cells_(cells), ctx_(ctx) {}
+  DataOnlyGroupAccountant(const std::vector<geo::CellId>* cells,
+                          counter::Tally& tally)
+      : cells_(cells), tally_(tally) {}
 
   void OnGroup(geo::CellId cell) {
     if (cells_ == nullptr) return;
     while (next_ < cells_->size() && (*cells_)[next_] < cell) {
-      ctx_.counters().Increment(counter::kGroups);
+      tally_.Add(counter::kGroups);
       ++next_;
     }
     if (next_ < cells_->size() && (*cells_)[next_] == cell) ++next_;
@@ -1065,14 +1070,14 @@ class DataOnlyGroupAccountant {
   void Finish() {
     if (cells_ == nullptr) return;
     while (next_ < cells_->size()) {
-      ctx_.counters().Increment(counter::kGroups);
+      tally_.Add(counter::kGroups);
       ++next_;
     }
   }
 
  private:
   const std::vector<geo::CellId>* cells_;
-  Ctx& ctx_;
+  counter::Tally& tally_;
   std::size_t next_ = 0;
 };
 
@@ -1085,65 +1090,53 @@ class DataOnlyGroupAccountant {
 /// in a skipped group scores 0 against `query` (and qlen > 0):
 ///  - pSPQ walks all n features (threshold stays 0, no probe survives
 ///    w > 0): groups+1, features_examined+n, pairs+0.
-///  - eSPQlen: lengths ascend, so a zero-length feature (possible only
-///    with the keyword prefilter off) sits first and trips Lemma 2
-///    immediately (upper bound 0 vs threshold 0): groups+1,
-///    early_terminations+1, features_examined+0. Otherwise every upper
-///    bound is positive, the loop never breaks: features_examined+n.
+///  - eSPQlen does the same: with qlen > 0 every Lemma-2 bound is positive
+///    (1 for |f.W| < qlen — a keyword-less feature, possible only with the
+///    keyword prefilter off, included — else qlen / |f.W|), so the loop
+///    never stops against a threshold of 0.
 ///  - eSPQsco: the first (maximal) map-side score is already 0, tripping
 ///    the descending-order stop before anything is examined: groups+1,
 ///    early_terminations+1, features_examined+0. pairs+0 in all cases.
-template <typename Cursor, typename Counters>
+template <typename Cursor>
 bool TrySignatureSkip(const CellStore& store, Algorithm algo,
                       const Query& query, uint64_t query_sig,
                       const SpqJobOptions& options, geo::CellId cell,
-                      Cursor& cursor, Counters& counters) {
+                      Cursor& cursor, counter::Tally& tally) {
   if (!options.signature_prefilter || query.keywords.empty()) return false;
   const CellTextSummary& summary = store.text_summary(cell);
-  counters.Increment(counter::kSignatureChecks);
+  tally.Add(counter::kSignatureChecks);
   if ((summary.signature & query_sig) != 0 &&
       summary.BestScoreBound(query.keywords.size()) > 0.0) {
     return false;
   }
-  counters.Increment(counter::kCellsPruned);
-  counters.Increment(counter::kGroups);
+  tally.Add(counter::kCellsPruned);
+  tally.Add(counter::kGroups);
   uint64_t examined = 0;
   switch (algo) {
-    case Algorithm::kPSPQ: {
+    case Algorithm::kPSPQ:
+    case Algorithm::kESPQLen: {
       while (cursor.Next()) ++examined;
       break;
     }
-    case Algorithm::kESPQLen: {
-      bool first = true;
-      bool stopped = false;
-      while (cursor.Next()) {
-        if (first) {
-          stopped = KeywordCount(cursor.value()) == 0;
-          first = false;
-        }
-        if (!stopped) ++examined;
-      }
-      if (stopped) counters.Increment(counter::kEarlyTerminations);
-      break;
-    }
     case Algorithm::kESPQSco: {
-      counters.Increment(counter::kEarlyTerminations);
+      tally.Add(counter::kEarlyTerminations);
       while (cursor.Next()) {
       }
       break;
     }
   }
-  counters.Increment(counter::kFeaturesExamined, examined);
-  counters.Increment(counter::kPairsTested, 0);
+  tally.Add(counter::kFeaturesExamined, examined);
+  tally.Add(counter::kPairsTested, 0);
   return true;
 }
 
 /// Runs one warm job for either key/output shape. `serve_group(key,
-/// cursor, ctx, scratch)` evaluates one group against the store;
+/// cursor, ctx, scratch, tally)` evaluates one group against the store;
 /// `cell_of(key)` projects the group key onto the store cell. The
-/// QueryScratch is per reduce task (parallel tasks each get their own),
-/// reused across the task's groups so the warm loop stays allocation-free
-/// in steady state.
+/// QueryScratch and the counter tally are per reduce task attempt
+/// (parallel tasks each get their own), reused across the task's groups
+/// so the warm loop stays allocation-free in steady state; the tally
+/// flushes into the attempt's counters once, after the group loop.
 template <typename K, typename Out, typename ServeGroup, typename CellOf>
 StatusOr<mr::JobOutput<Out>> RunWarmJob(
     const mr::JobSpec<ShuffleObject, K, ShuffleObject, Out>& spec,
@@ -1159,8 +1152,9 @@ StatusOr<mr::JobOutput<Out>> RunWarmJob(
         [&](uint32_t r, const std::vector<const mr::FlatSegment*>& segments,
             mr::ReduceContext<Out>& ctx) -> Status {
       mr::FlatMergeStream<K, ShuffleObject> stream(segments);
+      counter::Tally tally;
       DataOnlyGroupAccountant accountant(
-          data_cells != nullptr ? &(*data_cells)[r] : nullptr, ctx);
+          data_cells != nullptr ? &(*data_cells)[r] : nullptr, tally);
       reduce_core::QueryScratch scratch;
       bool has = stream.Advance();
       while (has) {
@@ -1168,10 +1162,11 @@ StatusOr<mr::JobOutput<Out>> RunWarmJob(
         accountant.OnGroup(cell_of(group_key));
         mr::FlatGroupCursor<K, ShuffleObject> cursor(&stream,
                                                      stream.bucket());
-        SPQ_RETURN_NOT_OK(serve_group(group_key, cursor, ctx, scratch));
+        SPQ_RETURN_NOT_OK(serve_group(group_key, cursor, ctx, scratch, tally));
         has = cursor.FinishGroup();
       }
       accountant.Finish();
+      tally.FlushTo(ctx.counters());
       return stream.status();
     };
     return mr::internal::RunJobWith<mr::FlatSegment>(
@@ -1187,8 +1182,9 @@ StatusOr<mr::JobOutput<Out>> RunWarmJob(
       [&](uint32_t r, const std::vector<const mr::SortedSegment*>& segments,
           mr::ReduceContext<Out>& ctx) -> Status {
     mr::MergeStream<K, ShuffleObject> stream(segments, spec.sort_less);
+    counter::Tally tally;
     DataOnlyGroupAccountant accountant(
-        data_cells != nullptr ? &(*data_cells)[r] : nullptr, ctx);
+        data_cells != nullptr ? &(*data_cells)[r] : nullptr, tally);
     reduce_core::QueryScratch scratch;
     bool has = stream.Advance();
     while (has) {
@@ -1196,10 +1192,11 @@ StatusOr<mr::JobOutput<Out>> RunWarmJob(
       accountant.OnGroup(cell_of(group_key));
       mr::internal::GroupCursor<K, ShuffleObject> cursor(&stream, &group_key,
                                                          &spec.group_equal);
-      SPQ_RETURN_NOT_OK(serve_group(group_key, cursor, ctx, scratch));
+      SPQ_RETURN_NOT_OK(serve_group(group_key, cursor, ctx, scratch, tally));
       has = cursor.FinishGroup();
     }
     accountant.Finish();
+    tally.FlushTo(ctx.counters());
     return stream.status();
   };
   return mr::internal::RunJobWith<mr::SortedSegment>(
@@ -1218,11 +1215,12 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQueryJob(
   const uint64_t query_sig = text::TermSignature(query.keywords.ids());
   auto serve_group = [&](const CellKey& key, auto& cursor,
                          mr::ReduceContext<ResultEntry>& ctx,
-                         reduce_core::QueryScratch& scratch) -> Status {
+                         reduce_core::QueryScratch& scratch,
+                         counter::Tally& tally) -> Status {
     // Summary screen first: a skipped group never touches the partition —
     // no lazy materialization, no scratch reset, no feature scoring.
     if (TrySignatureSkip(store, algo, query, query_sig, options, key.cell,
-                         cursor, ctx.counters())) {
+                         cursor, tally)) {
       return Status::OK();
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
@@ -1230,7 +1228,7 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQueryJob(
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
                                         &part->dead_rows};
     reduce_core::RunReduce(algo, options, query, cell_ref, scratch, cursor,
-                           ctx.counters(),
+                           tally,
                            [&ctx](const ResultEntry& e) { ctx.Emit(e); });
     return Status::OK();
   };
@@ -1252,13 +1250,14 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatchJob(
   }
   auto serve_group = [&](const BatchCellKey& key, auto& cursor,
                          mr::ReduceContext<BatchResultEntry>& ctx,
-                         reduce_core::QueryScratch& scratch) -> Status {
+                         reduce_core::QueryScratch& scratch,
+                         counter::Tally& tally) -> Status {
     // The feature-only input cannot produce the data sentinel (query 0);
     // out-of-range indices are drained defensively like the cold reducer.
     if (key.query == 0 || key.query > queries.size()) return Status::OK();
     const uint32_t q = key.query - 1;
     if (TrySignatureSkip(store, algo, queries[q], query_sigs[q], options,
-                         key.cell, cursor, ctx.counters())) {
+                         key.cell, cursor, tally)) {
       return Status::OK();
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
@@ -1266,7 +1265,7 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatchJob(
     reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
                                         &part->dead_rows};
     reduce_core::RunReduce(algo, options, queries[q], cell_ref, scratch,
-                           cursor, ctx.counters(),
+                           cursor, tally,
                            [&ctx, q](const ResultEntry& e) {
                              ctx.Emit(BatchResultEntry{q, e});
                            });

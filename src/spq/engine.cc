@@ -66,7 +66,8 @@ void MaybeLogSlowQuery(const EngineOptions& options, const char* kind,
                << job.reduce_seconds * 1e3 << " ms, "
                << job.map_output_records << " map-output records, "
                << job.shuffle_bytes << " shuffle bytes, "
-               << job.counters.Get(counter::kGroups) << " reduce groups";
+               << job.counters.Get(counter::Name(counter::kGroups))
+               << " reduce groups";
 }
 
 /// Extension: LPT cell->reducer assignment from per-cell cost estimates
@@ -126,16 +127,7 @@ SpqResult MakeSpqResult(const core::Query& query, Algorithm algo,
   info.algorithm = algo;
   info.grid_size = grid_size;
   info.num_reduce_tasks = num_reduce_tasks;
-  const mapreduce::Counters& counters = output.stats.counters;
-  info.features_kept = counters.Get(counter::kFeaturesKept);
-  info.features_pruned = counters.Get(counter::kFeaturesPruned);
-  info.feature_duplicates = counters.Get(counter::kFeatureDuplicates);
-  info.features_examined = counters.Get(counter::kFeaturesExamined);
-  info.pairs_tested = counters.Get(counter::kPairsTested);
-  info.early_terminations = counters.Get(counter::kEarlyTerminations);
-  info.reduce_groups = counters.Get(counter::kGroups);
-  info.cells_pruned = counters.Get(counter::kCellsPruned);
-  info.signature_checks = counters.Get(counter::kSignatureChecks);
+  info.ReadCounters(output.stats.counters);
   info.job = std::move(output.stats);
   return result;
 }
@@ -166,6 +158,23 @@ SpqBatchResult MakeBatchResult(const std::vector<core::Query>& queries,
 }
 
 }  // namespace
+
+void SpqRunInfo::ReadCounters(const mapreduce::Counters& counters) {
+  // Every counter::Id but map.data_objects, which stays in job.counters.
+  static constexpr std::pair<counter::Id, uint64_t SpqRunInfo::*> kFields[] = {
+      {counter::kFeaturesKept, &SpqRunInfo::features_kept},
+      {counter::kFeaturesPruned, &SpqRunInfo::features_pruned},
+      {counter::kFeatureDuplicates, &SpqRunInfo::feature_duplicates},
+      {counter::kFeaturesExamined, &SpqRunInfo::features_examined},
+      {counter::kPairsTested, &SpqRunInfo::pairs_tested},
+      {counter::kEarlyTerminations, &SpqRunInfo::early_terminations},
+      {counter::kGroups, &SpqRunInfo::reduce_groups},
+      {counter::kCellsPruned, &SpqRunInfo::cells_pruned},
+      {counter::kSignatureChecks, &SpqRunInfo::signature_checks}};
+  for (const auto& [id, field] : kFields) {
+    this->*field = counters.Get(counter::Name(id));
+  }
+}
 
 // Out-of-line: CellStore is incomplete in engine.h.
 StoreSnapshot::StoreSnapshot() = default;

@@ -194,6 +194,9 @@ struct SpqRunInfo {
 
   mapreduce::JobStats job;
 
+  /// Fills the nine counter fields above from a job's named counters.
+  void ReadCounters(const mapreduce::Counters& counters);
+
   /// Realized duplication factor: (kept + duplicates) / kept.
   double MeasuredDuplicationFactor() const {
     if (features_kept == 0) return 1.0;

@@ -464,6 +464,25 @@ struct ProbeScratch {
   }
 };
 
+/// w(x, q) for the pSPQ/eSPQlen threshold test, exact wherever it can
+/// matter: down to τ itself once the list is full (a score tying τ still
+/// admits objects with smaller ids than the k-th entry), and above 0
+/// before that.
+template <typename X>
+inline double TieAwareScore(const X& x, const std::vector<text::TermId>& q_ids,
+                            const TopKList& lk) {
+  return text::JaccardSortedBounded(KeywordData(x), KeywordCount(x),
+                                    q_ids.data(), q_ids.size(),
+                                    std::nextafter(lk.Threshold(), 0.0));
+}
+
+/// Whether a feature scoring w can change the top-k list: w > 0 while the
+/// list has room, w >= τ once it is full (τ > 0 then — the list only
+/// admits positive scores).
+inline bool CanEnter(double w, const TopKList& lk) {
+  return w > 0.0 && w >= lk.Threshold();
+}
+
 /// The pSPQ/eSPQlen inner loop for one surviving feature: visits either
 /// every data object (kLinearScan) or the index candidates (kGridIndex)
 /// and applies the identical threshold-skip + distance test. The visit
@@ -474,6 +493,13 @@ struct ProbeScratch {
 /// `scores` is the query's running best-score array (parallel to the cell
 /// arrays, owned by the caller's QueryScratch): this function is the only
 /// writer the probe loops have, and the borrowed cell itself stays const.
+///
+/// A feature tying τ (w == τ of a full list) can only admit objects that
+/// beat the k-th entry on the id tie-break, so ids not below the k-th
+/// entry's id are skipped before the pair is counted. The limit is read
+/// once per probe: entries admitted during the probe only lower it, so a
+/// fixed limit is a (sound) superset filter, and both kernel modes apply
+/// the same one.
 ///
 /// KernelMode::kAuto runs the same probe in three passes: gather the
 /// indices passing the threshold skip, evaluate their distances through
@@ -492,9 +518,15 @@ inline void ScoreFeatureAgainstCell(const SpqJobOptions& options, const X& x,
                                     TopKList& lk, uint64_t& pairs,
                                     ProbeScratch& scratch) {
   const CellData& cell = ref.data();
+  const bool ties_tau = lk.full() && w == lk.Threshold();
+  const ObjectId kth_id = ties_tau ? lk.entries().back().id : 0;
+  // Cannot improve p's score, or ties τ without beating the k-th entry.
+  auto skip = [&](std::size_t i) {
+    return w <= scores[i] || (ties_tau && cell.ids[i] >= kth_id);
+  };
   if (options.kernel_mode == simd::KernelMode::kScalar) {
     auto test = [&](std::size_t i) {
-      if (w <= scores[i]) return;  // cannot improve p's score
+      if (skip(i)) return;
       ++pairs;
       if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
         scores[i] = w;
@@ -511,8 +543,7 @@ inline void ScoreFeatureAgainstCell(const SpqJobOptions& options, const X& x,
   }
   scratch.idx.clear();
   auto gather = [&](std::size_t i) {
-    if (w <= scores[i]) return;  // cannot improve p's score
-    scratch.idx.push_back(static_cast<uint32_t>(i));
+    if (!skip(i)) scratch.idx.push_back(static_cast<uint32_t>(i));
   };
   if (options.join_mode == JoinMode::kGridIndex) {
     ref.SyncIndex();
@@ -570,8 +601,8 @@ struct QueryScratch {
 template <typename CellRef, typename Values, typename EmitFn>
 void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
              QueryScratch& scratch, Values& values,
-             mapreduce::Counters& counters, EmitFn&& emit) {
-  counters.Increment(counter::kGroups);
+             counter::Tally& tally, EmitFn&& emit) {
+  tally.Add(counter::kGroups);
   TopKList lk(query.k);
   const double r2 = query.radius * query.radius;
   const std::vector<text::TermId>& q_ids = query.keywords.ids();
@@ -596,17 +627,15 @@ void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
       continue;
     }
     ++examined;
-    const double w =
-        text::JaccardSortedBounded(KeywordData(x), KeywordCount(x),
-                                   q_ids.data(), q_ids.size(), lk.Threshold());
-    if (w > lk.Threshold()) {
+    const double w = internal::TieAwareScore(x, q_ids, lk);
+    if (internal::CanEnter(w, lk)) {
       internal::ScoreFeatureAgainstCell(options, x, w, query.radius, r2, cell,
                                         scratch.scores, lk, pairs,
                                         scratch.probe);
     }
   }
-  counters.Increment(counter::kFeaturesExamined, examined);
-  counters.Increment(counter::kPairsTested, pairs);
+  tally.Add(counter::kFeaturesExamined, examined);
+  tally.Add(counter::kPairsTested, pairs);
   for (const ResultEntry& e : lk.entries()) emit(e);
 }
 
@@ -614,8 +643,8 @@ void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
 template <typename CellRef, typename Values, typename EmitFn>
 void RunEspqLen(const Query& query, const SpqJobOptions& options,
                 CellRef& cell, QueryScratch& scratch, Values& values,
-                mapreduce::Counters& counters, EmitFn&& emit) {
-  counters.Increment(counter::kGroups);
+                counter::Tally& tally, EmitFn&& emit) {
+  tally.Add(counter::kGroups);
   TopKList lk(query.k);
   const double r2 = query.radius * query.radius;
   const std::vector<text::TermId>& q_ids = query.keywords.ids();
@@ -637,23 +666,23 @@ void RunEspqLen(const Query& query, const SpqJobOptions& options,
       continue;
     }
     const double upper = text::JaccardUpperBound(qlen, KeywordCount(x));
-    if (lk.Threshold() >= upper) {
-      // Lemma 2: no unseen feature (all at least this long) can beat τ.
-      counters.Increment(counter::kEarlyTerminations);
+    if (lk.Threshold() > upper || upper == 0.0) {
+      // Lemma 2: no unseen feature (all at least this long) can reach τ,
+      // or none can score at all. A bound equal to a positive τ still
+      // reads on: such a feature can tie τ with a smaller id.
+      tally.Add(counter::kEarlyTerminations);
       break;
     }
     ++examined;
-    const double w =
-        text::JaccardSortedBounded(KeywordData(x), KeywordCount(x),
-                                   q_ids.data(), q_ids.size(), lk.Threshold());
-    if (w > lk.Threshold()) {
+    const double w = internal::TieAwareScore(x, q_ids, lk);
+    if (internal::CanEnter(w, lk)) {
       internal::ScoreFeatureAgainstCell(options, x, w, query.radius, r2, cell,
                                         scratch.scores, lk, pairs,
                                         scratch.probe);
     }
   }
-  counters.Increment(counter::kFeaturesExamined, examined);
-  counters.Increment(counter::kPairsTested, pairs);
+  tally.Add(counter::kFeaturesExamined, examined);
+  tally.Add(counter::kPairsTested, pairs);
   for (const ResultEntry& e : lk.entries()) emit(e);
 }
 
@@ -662,8 +691,8 @@ void RunEspqLen(const Query& query, const SpqJobOptions& options,
 template <typename CellRef, typename Values, typename EmitFn>
 void RunEspqSco(const Query& query, const SpqJobOptions& options,
                 CellRef& cell_ref, QueryScratch& qscratch, Values& values,
-                mapreduce::Counters& counters, EmitFn&& emit) {
-  counters.Increment(counter::kGroups);
+                counter::Tally& tally, EmitFn&& emit) {
+  tally.Add(counter::kGroups);
   // Report bitmap pre-sized to the borrowed cell's current population
   // (warm path); grows with Add on the owned path.
   std::vector<uint8_t>& reported = qscratch.reported;
@@ -694,7 +723,7 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
     if (w <= 0.0) {
       // Only reachable with the keyword prefilter disabled: the rest of
       // the (descending) order is all zero-score features.
-      counters.Increment(counter::kEarlyTerminations);
+      tally.Add(counter::kEarlyTerminations);
       break;
     }
     ++examined;
@@ -772,12 +801,12 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
       }
     }
     if (done) {
-      counters.Increment(counter::kEarlyTerminations);
+      tally.Add(counter::kEarlyTerminations);
       break;
     }
   }
-  counters.Increment(counter::kFeaturesExamined, examined);
-  counters.Increment(counter::kPairsTested, pairs);
+  tally.Add(counter::kFeaturesExamined, examined);
+  tally.Add(counter::kPairsTested, pairs);
 }
 
 /// Dispatch by algorithm, joining against a borrowed cell ref + per-query
@@ -787,20 +816,20 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
 template <typename CellRef, typename Values, typename EmitFn>
 void RunReduce(Algorithm algo, const SpqJobOptions& options,
                const Query& query, CellRef& cell, QueryScratch& scratch,
-               Values& values, mapreduce::Counters& counters, EmitFn&& emit) {
+               Values& values, counter::Tally& tally, EmitFn&& emit) {
   // Per-GROUP span, never per feature/pair: disabled tracing costs one
   // relaxed load + branch here — unmeasurable against a group's join work
   // (the bench_store overhead gate holds this line to its contract).
   TRACE_SPAN("reduce.join");
   switch (algo) {
     case Algorithm::kPSPQ:
-      RunPspq(query, options, cell, scratch, values, counters, emit);
+      RunPspq(query, options, cell, scratch, values, tally, emit);
       return;
     case Algorithm::kESPQLen:
-      RunEspqLen(query, options, cell, scratch, values, counters, emit);
+      RunEspqLen(query, options, cell, scratch, values, tally, emit);
       return;
     case Algorithm::kESPQSco:
-      RunEspqSco(query, options, cell, scratch, values, counters, emit);
+      RunEspqSco(query, options, cell, scratch, values, tally, emit);
       return;
   }
 }
@@ -811,12 +840,12 @@ void RunReduce(Algorithm algo, const SpqJobOptions& options,
 template <typename Values, typename EmitFn>
 void RunReduceOwned(Algorithm algo, const SpqJobOptions& options,
                     const Query& query, Values& values,
-                    mapreduce::Counters& counters, EmitFn&& emit) {
+                    counter::Tally& tally, EmitFn&& emit) {
   CellData cell;
   CellGridIndex index;
   QueryScratch scratch;
   OwnedCellRef ref{&cell, &index};
-  RunReduce(algo, options, query, ref, scratch, values, counters, emit);
+  RunReduce(algo, options, query, ref, scratch, values, tally, emit);
 }
 
 }  // namespace spq::core::reduce_core

@@ -55,16 +55,7 @@ SpqResult MakeCoalescedResult(Algorithm algo, std::vector<ResultEntry> entries,
   result.entries = std::move(entries);
   SpqRunInfo& info = result.info;
   info.algorithm = algo;
-  const mapreduce::Counters& counters = batch.job.counters;
-  info.features_kept = counters.Get(counter::kFeaturesKept);
-  info.features_pruned = counters.Get(counter::kFeaturesPruned);
-  info.feature_duplicates = counters.Get(counter::kFeatureDuplicates);
-  info.features_examined = counters.Get(counter::kFeaturesExamined);
-  info.pairs_tested = counters.Get(counter::kPairsTested);
-  info.early_terminations = counters.Get(counter::kEarlyTerminations);
-  info.reduce_groups = counters.Get(counter::kGroups);
-  info.cells_pruned = counters.Get(counter::kCellsPruned);
-  info.signature_checks = counters.Get(counter::kSignatureChecks);
+  info.ReadCounters(batch.job.counters);
   info.warm_path = batch.warm_path;
   info.cold_fallback = batch.cold_fallback;
   info.job = batch.job;

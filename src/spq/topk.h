@@ -54,8 +54,10 @@ class TopKList {
   }
 
   /// τ — the k-th best score so far; 0 until k objects are tracked.
-  /// Any unseen feature with w(f,q) <= τ cannot change the membership of
-  /// the top-k list (it could only create ties).
+  /// An unseen feature with w(f,q) < τ cannot change the membership of the
+  /// top-k list. One with w == τ still can: ties at τ are broken by id, so
+  /// an object reaching τ with a smaller id than the k-th entry displaces
+  /// it.
   double Threshold() const {
     return entries_.size() < k_ ? 0.0 : entries_.back().score;
   }

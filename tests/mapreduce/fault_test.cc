@@ -125,6 +125,37 @@ TEST(FaultInjectionTest, RetriedTasksProduceIdenticalResults) {
             0u);
 }
 
+/// Counts per attempt in plain members (a typed tally) and flushes them
+/// into the context's named counters once, from Cleanup.
+class TallyingMapper : public IdentityMapper {
+ public:
+  void Map(const uint64_t& v, MapContext<uint32_t, uint64_t>& ctx) override {
+    ++records_;
+    IdentityMapper::Map(v, ctx);
+  }
+  void Cleanup(MapContext<uint32_t, uint64_t>& ctx) override {
+    ctx.counters().Increment("map.records", records_);
+  }
+
+ private:
+  uint64_t records_ = 0;
+};
+
+class TallyingReducer : public SumReducer {
+ public:
+  void Reduce(const uint32_t& group, GroupValues<uint32_t, uint64_t>& values,
+              ReduceContext<GroupSum>& ctx) override {
+    ++groups_;
+    SumReducer::Reduce(group, values, ctx);
+  }
+  void Cleanup(ReduceContext<GroupSum>& ctx) override {
+    ctx.counters().Increment("reduce.groups", groups_);
+  }
+
+ private:
+  uint64_t groups_ = 0;
+};
+
 TEST(FaultInjectionTest, NoDoubleCountingAfterRetries) {
   const auto input = TestInput();
   JobConfig faulty;
@@ -140,6 +171,20 @@ TEST(FaultInjectionTest, NoDoubleCountingAfterRetries) {
   for (const auto& r : result->records) total += r.sum;
   EXPECT_EQ(total, 999ull * 1000 / 2);
   EXPECT_EQ(result->stats.map_output_records, 1000u);
+
+  // Per-attempt tallies flushed from Cleanup: a failed attempt (which dies
+  // halfway through its split) is discarded with its context, so each
+  // task's tally reaches the job exactly once.
+  auto spec = SumSpec();
+  spec.mapper_factory = [] { return std::make_unique<TallyingMapper>(); };
+  spec.reducer_factory = [] { return std::make_unique<TallyingReducer>(); };
+  faulty.faults.reduce_failure_prob = 0.5;
+  auto tallied = RunJob(spec, faulty, input);
+  ASSERT_TRUE(tallied.ok());
+  EXPECT_GT(tallied->stats.map_task_failures, 0u);
+  EXPECT_GT(tallied->stats.reduce_task_failures, 0u);
+  EXPECT_EQ(tallied->stats.counters.Get("map.records"), 1000u);
+  EXPECT_EQ(tallied->stats.counters.Get("reduce.groups"), 10u);
 }
 
 TEST(FaultInjectionTest, ExhaustedAttemptsAbortJob) {

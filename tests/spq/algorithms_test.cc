@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -318,6 +321,72 @@ TEST(FlattenDatasetTest, TagsAndCountsPreserved) {
   EXPECT_TRUE(flat[1].is_data());
   EXPECT_TRUE(flat[2].is_feature());
   EXPECT_EQ(flat[2].keywords, (std::vector<text::TermId>{1, 2}));
+}
+
+TEST(CounterTallyTest, NamesAreDistinctAndComplete) {
+  std::set<std::string> names;
+  for (uint8_t id = 0; id < counter::kNumCounters; ++id) {
+    ASSERT_NE(counter::Name(static_cast<counter::Id>(id)), nullptr);
+    names.insert(counter::Name(static_cast<counter::Id>(id)));
+  }
+  EXPECT_EQ(names.size(), counter::kNumCounters);
+}
+
+TEST(CounterTallyTest, FlushMatchesPerCallIncrements) {
+  // Zero-delta touches (the signature skip's pairs_tested += 0) must leave
+  // the name present at 0; names never touched must stay absent.
+  const std::vector<std::pair<counter::Id, uint64_t>> bumps = {
+      {counter::kGroups, 1},         {counter::kPairsTested, 0},
+      {counter::kFeaturesPruned, 7}, {counter::kGroups, 1},
+      {counter::kFeaturesExamined, 0}, {counter::kFeaturesPruned, 1}};
+  mapreduce::Counters per_call;
+  per_call.Increment("other.name", 3);  // a generic job's counter
+  mapreduce::Counters flushed = per_call;
+  counter::Tally tally;
+  for (const auto& [id, delta] : bumps) {
+    per_call.Increment(counter::Name(id), delta);
+    tally.Add(id, delta);
+  }
+  tally.FlushTo(flushed);
+  EXPECT_EQ(flushed.Snapshot(), per_call.Snapshot());
+  const auto snapshot = flushed.Snapshot();
+  EXPECT_EQ(snapshot.at(counter::Name(counter::kPairsTested)), 0u);
+  EXPECT_EQ(snapshot.at(counter::Name(counter::kGroups)), 2u);
+  EXPECT_EQ(snapshot.count(counter::Name(counter::kCellsPruned)), 0u);
+  EXPECT_EQ(snapshot.size(), 5u);
+
+  // A flush resets the tally: flushing again adds nothing.
+  tally.FlushTo(flushed);
+  EXPECT_EQ(flushed.Snapshot(), per_call.Snapshot());
+}
+
+TEST(CounterTallyTest, ColdJobWritesOnlyTheCountersItsAlgorithmTouches) {
+  EngineOptions options;
+  options.grid_size = 6;
+  options.num_workers = 2;
+  options.num_map_tasks = 3;
+  options.num_reduce_tasks = 4;
+  SpqEngine engine(RandomDataset(21, 1500, 40), options);
+  Rng rng(21);
+  const Query q = RandomQuery(rng, 40, 10, 0.1);
+  auto pspq = engine.Execute(q, Algorithm::kPSPQ);
+  ASSERT_TRUE(pspq.ok());
+  std::set<std::string> names;
+  for (const auto& [name, value] : pspq->info.job.counters.Snapshot()) {
+    names.insert(name);
+  }
+  // pSPQ never stops early and the cold path keeps no cell summaries.
+  const std::set<std::string> expected = {
+      counter::Name(counter::kDataObjects),
+      counter::Name(counter::kFeaturesKept),
+      counter::Name(counter::kFeaturesPruned),
+      counter::Name(counter::kFeatureDuplicates),
+      counter::Name(counter::kFeaturesExamined),
+      counter::Name(counter::kPairsTested),
+      counter::Name(counter::kGroups)};
+  EXPECT_EQ(names, expected);
+  EXPECT_EQ(pspq->info.job.counters.Get(counter::Name(counter::kDataObjects)),
+            engine.dataset().data.size());
 }
 
 }  // namespace

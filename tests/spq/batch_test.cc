@@ -177,11 +177,11 @@ TEST(BatchTest, SharedScanShipsDataObjectsOnce) {
             dataset.data.size() + dataset.features.size());
   // ...and each data object crosses the shuffle exactly once (the cached
   // sentinel-group design), not once per query.
-  EXPECT_EQ(batch->job.counters.Get(counter::kDataObjects),
+  EXPECT_EQ(batch->job.counters.Get(counter::Name(counter::kDataObjects)),
             dataset.data.size());
   const uint64_t features_shuffled =
-      batch->job.counters.Get(counter::kFeaturesKept) +
-      batch->job.counters.Get(counter::kFeatureDuplicates);
+      batch->job.counters.Get(counter::Name(counter::kFeaturesKept)) +
+      batch->job.counters.Get(counter::Name(counter::kFeatureDuplicates));
   EXPECT_EQ(batch->job.map_output_records,
             dataset.data.size() + features_shuffled);
 }

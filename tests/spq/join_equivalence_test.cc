@@ -235,15 +235,15 @@ TEST(JoinEquivalenceTest, BatchGridIndexMatchesLinearScan) {
                   indexed->job.map_output_records);
         EXPECT_EQ(linear->job.reduce_input_records,
                   indexed->job.reduce_input_records);
-        EXPECT_LE(
-            indexed->job.counters.Get(counter::kPairsTested),
-            linear->job.counters.Get(counter::kPairsTested));
-        EXPECT_EQ(
-            indexed->job.counters.Get(counter::kFeaturesExamined),
-            linear->job.counters.Get(counter::kFeaturesExamined));
-        EXPECT_EQ(
-            indexed->job.counters.Get(counter::kEarlyTerminations),
-            linear->job.counters.Get(counter::kEarlyTerminations));
+        const char* pairs = counter::Name(counter::kPairsTested);
+        EXPECT_LE(indexed->job.counters.Get(pairs),
+                  linear->job.counters.Get(pairs));
+        for (counter::Id id :
+             {counter::kFeaturesExamined, counter::kEarlyTerminations}) {
+          EXPECT_EQ(indexed->job.counters.Get(counter::Name(id)),
+                    linear->job.counters.Get(counter::Name(id)))
+              << counter::Name(id);
+        }
       }
       if (!spill_dir.empty()) std::filesystem::remove_all(spill_dir);
     }

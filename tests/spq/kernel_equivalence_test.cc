@@ -299,9 +299,10 @@ TEST(KernelEquivalenceTest, BatchVariantsMatchBaseline) {
                   << "query " << q << " @" << i;
             }
           }
-          for (const char* c :
+          for (counter::Id id :
                {counter::kPairsTested, counter::kFeaturesExamined,
                 counter::kEarlyTerminations, counter::kGroups}) {
+            const char* c = counter::Name(id);
             EXPECT_EQ(base.job.counters.Get(c), run->job.counters.Get(c))
                 << AlgorithmName(algo) << " " << c;
           }

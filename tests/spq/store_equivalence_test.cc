@@ -230,14 +230,13 @@ TEST(StoreEquivalenceTest, WarmBatchMatchesColdBatch) {
           EXPECT_EQ(ce[i].score, we[i].score) << "query " << q << " @" << i;
         }
       }
-      EXPECT_EQ(cold->job.counters.Get(counter::kGroups),
-                warm->job.counters.Get(counter::kGroups));
-      EXPECT_EQ(cold->job.counters.Get(counter::kPairsTested),
-                warm->job.counters.Get(counter::kPairsTested));
-      EXPECT_EQ(cold->job.counters.Get(counter::kFeaturesExamined),
-                warm->job.counters.Get(counter::kFeaturesExamined));
-      EXPECT_EQ(cold->job.counters.Get(counter::kEarlyTerminations),
-                warm->job.counters.Get(counter::kEarlyTerminations));
+      for (counter::Id id :
+           {counter::kGroups, counter::kPairsTested,
+            counter::kFeaturesExamined, counter::kEarlyTerminations}) {
+        EXPECT_EQ(cold->job.counters.Get(counter::Name(id)),
+                  warm->job.counters.Get(counter::Name(id)))
+            << counter::Name(id);
+      }
     }
   }
 }
@@ -303,6 +302,38 @@ TEST(StoreEquivalenceTest, RadiusBeyondStoreFallsBackCold) {
   ASSERT_TRUE(warm_batch.ok());
   EXPECT_TRUE(warm_batch->cold_fallback);
   EXPECT_FALSE(warm_batch->warm_path);
+}
+
+// With the keyword prefilter off, keyword-less features reach the
+// reducers. In a group the cell signature prunes, the skip must replay the
+// cold cores' counters: eSPQlen's Lemma-2 bound for such a feature is 1,
+// so it never stops there and examines every feature like pSPQ does.
+TEST(StoreEquivalenceTest, KeywordlessFeatureInPrunedCellMatchesCold) {
+  Dataset dataset;
+  dataset.bounds = geo::Rect{0.0, 0.0, 10.0, 10.0};
+  dataset.data = {{1, {1.0, 1.0}}, {2, {1.2, 1.1}}, {3, {8.0, 8.0}}};
+  dataset.features = {{100, {1.1, 1.0}, text::KeywordSet({5, 6})},
+                      {101, {1.0, 1.2}, text::KeywordSet()},
+                      {102, {8.1, 8.0}, text::KeywordSet({1})}};
+  EngineOptions options;
+  options.grid_size = 2;
+  options.num_workers = 1;
+  options.keyword_prefilter = false;
+  SpqEngine engine(dataset, options);
+  ASSERT_TRUE(engine.BuildStore(0.5).ok());
+  Query query;
+  query.k = 2;
+  query.radius = 0.5;
+  query.keywords = text::KeywordSet({1, 2});
+  for (Algorithm algo :
+       {Algorithm::kPSPQ, Algorithm::kESPQLen, Algorithm::kESPQSco}) {
+    auto cold = engine.Execute(query, algo);
+    auto warm = engine.Query(query, algo);
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(warm.ok());
+    EXPECT_GT(warm->info.cells_pruned, 0u) << AlgorithmName(algo);
+    ExpectWarmMatchesCold(*cold, *warm, AlgorithmName(algo));
+  }
 }
 
 TEST(StoreEquivalenceTest, QueryWithoutStoreIsAnError) {
