@@ -1,6 +1,7 @@
 // A/B benchmark of the reduce-side join: the paper's linear |O_i| scan
 // per surviving feature (JoinMode::kLinearScan) against the default
-// per-group mini-grid index (JoinMode::kGridIndex, reduce_core.h).
+// per-cell choice (JoinMode::kAuto, reduce_core.h), which on this
+// workload's dense cells and small radius picks the mini-grid index.
 //
 // The workload is a deliberately *coarse* grid — few, large cells over a
 // uniform dataset, with the query radius well below the cell edge — the
@@ -11,12 +12,10 @@
 // usable. Results go to stdout and BENCH_reduce.json (machine-readable,
 // for cross-PR perf tracking).
 
-// A second section sweeps the warm-serving path's keyword selectivity
-// (PR 4): vocabularies sized so a query's keywords occur in ~1% / ~10% /
-// ~50% of the grid cells, measured A/B across the kernel_mode and
-// signature_prefilter knobs against the PR 3 baseline (scalar kernel, no
-// signatures). The sweep rows land in BENCH_reduce.json next to the join
-// A/B.
+// A second section sweeps the warm-serving path's keyword selectivity:
+// vocabularies sized so a query's keywords occur in ~1% / ~10% / ~50% of
+// the grid cells, measured A/B with the signature_prefilter knob off and
+// on. The sweep rows land in BENCH_reduce.json next to the join A/B.
 
 #include <array>
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "datagen/generator.h"
 #include "datagen/workload.h"
 #include "spq/engine.h"
@@ -40,7 +38,7 @@ namespace {
 struct AbRow {
   std::string algo;
   double linear_rps = 0.0;   ///< reduce-phase records/sec, kLinearScan
-  double indexed_rps = 0.0;  ///< reduce-phase records/sec, kGridIndex
+  double indexed_rps = 0.0;  ///< reduce-phase records/sec, kAuto
   uint64_t linear_pairs = 0;
   uint64_t indexed_pairs = 0;
   double linear_reduce_seconds = 0.0;
@@ -77,14 +75,12 @@ void Measure(const core::SpqEngine& engine, core::Algorithm algo,
   }
 }
 
-// ---- Warm-serving keyword-selectivity sweep (PR 4) -----------------------
+// ---- Warm-serving keyword-selectivity sweep -----------------------------
 
-/// One (kernel_mode, signature_prefilter) engine configuration of the
-/// sweep's A/B grid. modes[0] is the PR 3 baseline every speedup is
-/// measured against.
+/// One signature_prefilter setting of the sweep's A/B pair. modes[0]
+/// (signatures off) is the baseline every speedup is measured against.
 struct SweepMode {
-  std::string label;  ///< "<resolved kernel>/sig-<on|off>"
-  simd::KernelMode kernel;
+  std::string label;  ///< "sig-<on|off>"
   bool signature;
 };
 
@@ -290,7 +286,7 @@ int main() {
   linear_options.join_mode = core::JoinMode::kLinearScan;
   core::SpqEngine linear_engine(dataset, linear_options);
   core::EngineOptions indexed_options = linear_options;
-  indexed_options.join_mode = core::JoinMode::kGridIndex;
+  indexed_options.join_mode = core::JoinMode::kAuto;
   core::SpqEngine indexed_engine(dataset, indexed_options);
 
   std::vector<AbRow> rows;
@@ -313,31 +309,27 @@ int main() {
     rows.push_back(row);
   }
 
-  // ---- Warm-serving keyword-selectivity sweep (PR 4) -----------------------
+  // ---- Warm-serving keyword-selectivity sweep ------------------------------
   //
   // The map-side keyword prefilter is OFF throughout: with it on, every
   // shuffled feature shares a term with q, so every reduce group survives
-  // the cell-summary screen and the sweep would only measure the kernel.
+  // the cell-summary screen and the sweep would measure nothing.
   // Off, the reduce input is identical across modes (the map-side
   // signature screen is gated on the prefilter) and the per-cell summary
   // is the operative prefilter — the same isolate-one-knob philosophy as
   // the linear/indexed A/B above.
-  std::printf("\n==== Warm-serving selectivity sweep: cell signatures + "
-              "distance kernel (40x40 grid, district-local vocab) ====\n\n");
+  std::printf("\n==== Warm-serving selectivity sweep: cell signatures "
+              "(40x40 grid, district-local vocab) ====\n\n");
 
   const core::Algorithm kAlgos[] = {core::Algorithm::kPSPQ,
                                     core::Algorithm::kESPQLen,
                                     core::Algorithm::kESPQSco};
   const auto bit_terms = SieveTermsPerBit();
   const SweepMode modes[] = {
-      {"scalar/sig-off", simd::KernelMode::kScalar, false},  // PR 3 baseline
-      {"scalar/sig-on", simd::KernelMode::kScalar, true},
-      {std::string(simd::KernelName(simd::KernelMode::kAuto)) + "/sig-off",
-       simd::KernelMode::kAuto, false},
-      {std::string(simd::KernelName(simd::KernelMode::kAuto)) + "/sig-on",
-       simd::KernelMode::kAuto, true},
+      {"sig-off", false},  // baseline
+      {"sig-on", true},
   };
-  constexpr std::size_t kNumModes = 4;
+  constexpr std::size_t kNumModes = 2;
 
   struct SweepRowOut {
     const char* target;
@@ -381,7 +373,6 @@ int main() {
       opt.num_workers = 1;
       opt.num_reduce_tasks = 64;
       opt.keyword_prefilter = false;  // see the section comment
-      opt.kernel_mode = modes[m].kernel;
       opt.signature_prefilter = modes[m].signature;
       core::SpqEngine engine(sweep_dataset, opt);
       auto built = engine.BuildStore(sweep_radius);
@@ -456,8 +447,6 @@ int main() {
        << ", \"grid_size\": " << kSweepGrid
        << ", \"k\": 32, \"radius_cell_fraction\": 0.5"
        << ", \"keyword_prefilter\": false},\n"
-       << "    \"auto_kernel\": \""
-       << simd::KernelName(simd::KernelMode::kAuto) << "\",\n"
        << "    \"rows\": [\n";
   for (std::size_t s = 0; s < 3; ++s) {
     const SweepRowOut& row = sweep[s];
@@ -469,9 +458,8 @@ int main() {
          << ", \"signature_checks\": " << row.signature_checks
          << ",\n       \"modes\": [\n";
     for (std::size_t m = 0; m < kNumModes; ++m) {
-      json << "        {\"mode\": \"" << modes[m].label << "\", \"kernel\": \""
-           << simd::KernelName(modes[m].kernel) << "\", \"signature\": "
-           << (modes[m].signature ? "true" : "false")
+      json << "        {\"mode\": \"" << modes[m].label
+           << "\", \"signature\": " << (modes[m].signature ? "true" : "false")
            << ", \"reduce_records_per_sec\": {";
       for (std::size_t a = 0; a < 3; ++a) {
         json << "\"" << core::AlgorithmName(kAlgos[a]) << "\": "
@@ -494,8 +482,8 @@ int main() {
   // Acceptance gates. Join A/B: >= 1.3x reduce-phase throughput on the
   // scan-bound algorithms (eSPQsco's reducers stop after k reports
   // regardless of the join strategy — reported, not gated). Sweep: on the
-  // keyword-selective row, signatures + kernel >= 1.5x the PR 3 baseline
-  // on the same two algorithms (eSPQsco's descending-score first-hit walk
+  // keyword-selective row, signatures on >= 1.5x signatures off on the
+  // same two algorithms (eSPQsco's descending-score first-hit walk
   // already skips zero-score groups after one sort — reported, not gated).
   bool ok = true;
   for (const AbRow& r : rows) {
@@ -511,7 +499,7 @@ int main() {
                    1.5 * sweep[0].cells[0][a].rps;
   }
   std::printf("acceptance (>=1.5x warm reduce records/sec, selective row, "
-              "sig+kernel vs baseline, pSPQ and eSPQlen): %s\n",
+              "sig-on vs sig-off, pSPQ and eSPQlen): %s\n",
               sweep_ok ? "PASS" : "FAIL");
   ok = ok && sweep_ok;
   return ok ? 0 : 1;

@@ -20,7 +20,8 @@
 // The durability section measures the checkpoint/recovery path on the
 // same store: checkpoint write time, OpenStore (WAL + manifest only) and
 // recovery-to-first-warm-query latency — which, thanks to cell-granular
-// lazy restore, must come in under 10% of a full cold BuildStore().
+// lazy restore, must come in under 10% of a full cold BuildStore() (both
+// as medians of 7 trials).
 //
 // The churn section runs a 10% turnover wave (strided deletes + fresh
 // inserts) against the live store, reporting mutation throughput and the
@@ -448,9 +449,25 @@ int main() {
   }
 
   // ---- durability: checkpoint + cell-granular recovery ---------------------
-  // Full build cost of this store (the recovery alternative): the warm
-  // section's one-time BuildStore over the whole dataset.
-  const double cold_rebuild_seconds = results[1].setup_seconds;
+  // Recovery is gated against the full build cost of this store (the
+  // recovery alternative). Both sides are medians of kDurabilityTrials
+  // runs: one reopen or one build is a few milliseconds, well inside this
+  // container's run-to-run noise, so single samples made the gate flip.
+  constexpr int kDurabilityTrials = 7;
+  double cold_rebuild_seconds = 0.0;
+  {
+    std::vector<double> builds;
+    core::SpqEngine rebuilt(dataset, options);
+    for (int t = 0; t < kDurabilityTrials; ++t) {
+      Stopwatch build_watch;
+      if (Status st = rebuilt.BuildStore(max_radius); !st.ok()) {
+        std::fprintf(stderr, "%s\n", st.ToString().c_str());
+        return 1;
+      }
+      builds.push_back(build_watch.ElapsedSeconds());
+    }
+    cold_rebuild_seconds = Percentile50(builds);
+  }
   double checkpoint_seconds = 0.0;
   double checkpoint_mb = 0.0;
   double open_seconds = 0.0;
@@ -474,17 +491,6 @@ int main() {
       if (meta.ok()) checkpoint_mb += static_cast<double>(meta->size) / 1e6;
     }
 
-    // Recovery: OpenStore reads only the WAL and the manifest; the first
-    // query then restores just the cells it touches (a single-cell-radius
-    // probe — the instant-recovery case the lazy design exists for).
-    core::SpqEngine reopened(dataset, options);
-    Stopwatch open_watch;
-    if (Status st = reopened.OpenStore(dfs, "store"); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    open_seconds = open_watch.ElapsedSeconds();
-
     // A narrow-footprint probe: ONE keyword keeps the surviving feature
     // set (and therefore the set of store cells whose reduce groups form
     // and lazily restore) small — the instant-recovery case. Every cell a
@@ -496,25 +502,47 @@ int main() {
     wspec.vocab_size = 1'000;
     wspec.seed = 9999;
     const core::Query probe = datagen::MakeQuery(wspec, 0);
-    Stopwatch query_watch;
-    auto r = reopened.Query(probe, algo);
-    if (!r.ok() || !r->info.warm_path) {
-      std::fprintf(stderr, "recovered warm query failed or fell back\n");
-      return 1;
+
+    // Recovery: OpenStore reads only the WAL and the manifest; the first
+    // query then restores just the cells it touches. Each trial reopens
+    // into a fresh engine, so every probe restores from the DFS.
+    std::vector<double> opens, probes, recoveries;
+    uint64_t cells_touched = 0;
+    uint32_t num_cells = 0;
+    for (int t = 0; t < kDurabilityTrials; ++t) {
+      core::SpqEngine reopened(dataset, options);
+      Stopwatch open_watch;
+      if (Status st = reopened.OpenStore(dfs, "store"); !st.ok()) {
+        std::fprintf(stderr, "%s\n", st.ToString().c_str());
+        return 1;
+      }
+      const double open_s = open_watch.ElapsedSeconds();
+      Stopwatch query_watch;
+      auto r = reopened.Query(probe, algo);
+      if (!r.ok() || !r->info.warm_path) {
+        std::fprintf(stderr, "recovered warm query failed or fell back\n");
+        return 1;
+      }
+      const double probe_s = query_watch.ElapsedSeconds();
+      opens.push_back(open_s);
+      probes.push_back(probe_s);
+      recoveries.push_back(open_s + probe_s);
+      cells_touched = reopened.store()->cells_restored() +
+                      reopened.store()->cells_rebuilt();
+      num_cells = reopened.store()->num_cells();
     }
-    first_query_ms = query_watch.ElapsedSeconds() * 1e3;
-    recovery_seconds = open_seconds + query_watch.ElapsedSeconds();
+    open_seconds = Percentile50(opens);
+    first_query_ms = Percentile50(probes) * 1e3;
+    recovery_seconds = Percentile50(recoveries);
 
     std::printf("\ndurability: checkpoint %.3fs (%.1f MB on dfs, epoch %llu), "
-                "open %.4fs, first warm query %.2f ms "
-                "(touched %llu of %u cells)\n",
+                "median of %d reopens: open %.4fs, first warm query %.2f ms "
+                "(touched %llu of %u cells); median build %.4fs\n",
                 checkpoint_seconds, checkpoint_mb,
-                static_cast<unsigned long long>(*epoch), open_seconds,
-                first_query_ms,
-                static_cast<unsigned long long>(
-                    reopened.store()->cells_restored() +
-                    reopened.store()->cells_rebuilt()),
-                reopened.store()->num_cells());
+                static_cast<unsigned long long>(*epoch), kDurabilityTrials,
+                open_seconds, first_query_ms,
+                static_cast<unsigned long long>(cells_touched), num_cells,
+                cold_rebuild_seconds);
   }
   const double recovery_ratio = recovery_seconds / cold_rebuild_seconds;
 

@@ -1,8 +1,7 @@
-// CRC-32C backends. Like common/simd.cc, this is the only translation
-// unit compiled with its extra ISA flag (-msse4.2, see the SPQ_SIMD
-// handling in the root CMakeLists), so the `crc32` intrinsics stay behind
-// a function-call boundary and the rest of the library keeps the baseline
-// instruction set.
+// CRC-32C backends. This is the only translation unit compiled with an
+// extra ISA flag (-msse4.2, see the SPQ_SIMD handling in the root
+// CMakeLists), so the `crc32` intrinsics stay behind a function-call
+// boundary and the rest of the library keeps the baseline instruction set.
 
 #include "common/crc32c.h"
 

@@ -10,10 +10,9 @@ namespace spq {
 /// \brief CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected) — the
 /// checksum HDFS uses per block chunk.
 ///
-/// Two backends behind a runtime cpu check (same scheme as the distance
-/// kernels in common/simd.h): the SSE4.2 `crc32` instruction when the
-/// build enables it (SPQ_SIMD=ON) and the cpu has it, a software
-/// slice-by-4 table loop otherwise. Both compute the same polynomial in
+/// Two backends behind a runtime cpu check: the SSE4.2 `crc32`
+/// instruction when the build enables it (SPQ_SIMD=ON) and the cpu has
+/// it, a software slice-by-4 table loop otherwise. Both compute the same polynomial in
 /// the same reflected convention, so checksums written by one backend
 /// always verify under the other.
 ///

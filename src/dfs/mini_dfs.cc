@@ -119,81 +119,128 @@ Status MiniDfs::WriteFile(const std::string& name,
   return Status::OK();
 }
 
-StatusOr<FileMetadata> MiniDfs::GetMetadataLocked(
-    const std::string& name) const {
+StatusOr<FileMetadata> MiniDfs::GetMetadata(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(name);
   if (it == files_.end()) return Status::NotFound("no such file: " + name);
   return it->second;
 }
 
-StatusOr<FileMetadata> MiniDfs::GetMetadata(const std::string& name) const {
+StatusOr<std::vector<MiniDfs::PinnedBlock>> MiniDfs::PinBlocks(
+    const std::string& name, std::size_t first, std::size_t count) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return GetMetadataLocked(name);
+  auto it = files_.find(name);
+  if (it == files_.end()) return Status::NotFound("no such file: " + name);
+  const std::vector<BlockLocation>& blocks = it->second.blocks;
+  if (first >= blocks.size()) {
+    return Status::OutOfRange("block index " + std::to_string(first) +
+                              " >= " + std::to_string(blocks.size()));
+  }
+  const std::size_t last =
+      count == 0 ? blocks.size() : std::min(blocks.size(), first + count);
+  std::vector<PinnedBlock> pinned(last - first);
+  for (std::size_t i = first; i < last; ++i) {
+    const BlockLocation& location = blocks[i];
+    PinnedBlock& pin = pinned[i - first];
+    pin.block = location.block;
+    pin.length = location.length;
+    pin.crc32c = location.crc32c;
+    pin.replicas.reserve(location.replicas.size());
+    for (NodeId node : location.replicas) {
+      pin.replicas.emplace_back(node, nodes_[node].Get(location.block));
+    }
+  }
+  return pinned;
 }
 
-StatusOr<std::vector<uint8_t>> MiniDfs::ReadBlockLocked(
-    const std::string& name, std::size_t block_index) const {
-  SPQ_ASSIGN_OR_RETURN(FileMetadata meta, GetMetadataLocked(name));
-  if (block_index >= meta.blocks.size()) {
-    return Status::OutOfRange("block index " + std::to_string(block_index) +
-                              " >= " + std::to_string(meta.blocks.size()));
-  }
-  const BlockLocation& location = meta.blocks[block_index];
+StatusOr<const std::vector<uint8_t>*> MiniDfs::VerifyBlock(
+    const PinnedBlock& pinned) const {
   // Replica failover: try each location until one serves the block AND its
   // bytes verify against the write-time length + CRC. A replica that fails
   // verification (torn/corrupted on the node, or an injected read fault)
   // is counted and skipped — corrupt bytes are never returned.
   Status last = Status::IOError("block has no replicas");
-  for (NodeId node : location.replicas) {
-    auto data = nodes_[node].Get(location.block);
-    if (!data.ok()) {
-      last = data.status();
+  for (const auto& [node, stored] : pinned.replicas) {
+    if (!stored.ok()) {
+      last = stored.status();
       continue;
     }
-    std::vector<uint8_t> bytes = **data;
-    const uint64_t site = ReplicaSite(location.block, node, /*write=*/false);
+    const std::vector<uint8_t>& replica = **stored;
+    const uint64_t site = ReplicaSite(pinned.block, node, /*write=*/false);
     const auto kind = mapreduce::StorageFaultAt(options_.faults, site);
-    if (kind == mapreduce::StorageFaultKind::kShortRead && !bytes.empty()) {
-      bytes.resize(Mix64(site) % bytes.size());
-    } else if (kind != mapreduce::StorageFaultKind::kNone) {
-      mapreduce::CorruptImageForWrite(kind, site, &bytes);
+    bool verified = true;
+    std::size_t read_size = replica.size();
+    if (kind != mapreduce::StorageFaultKind::kNone) {
+      // The fault damages what this read returns, never the replica: apply
+      // it to a copy and verify that.
+      std::vector<uint8_t> faulty = replica;
+      if (kind == mapreduce::StorageFaultKind::kShortRead &&
+          !faulty.empty()) {
+        faulty.resize(Mix64(site) % faulty.size());
+      } else {
+        mapreduce::CorruptImageForWrite(kind, site, &faulty);
+      }
+      read_size = faulty.size();
+      verified = faulty.size() == pinned.length &&
+                 Crc32c(faulty) == pinned.crc32c;
     }
-    if (bytes.size() != location.length ||
-        Crc32c(bytes) != location.crc32c) {
+    if (verified) {
+      verified = replica.size() == pinned.length &&
+                 Crc32c(replica) == pinned.crc32c;
+      read_size = replica.size();
+    }
+    if (!verified) {
       corrupt_replicas_detected_.fetch_add(1, std::memory_order_relaxed);
-      SPQ_LOG_WARN << "block " << location.block << " replica on node "
-                   << node << " failed checksum verification ("
-                   << bytes.size() << "/" << location.length
-                   << " bytes); failing over";
+      SPQ_LOG_WARN << "block " << pinned.block << " replica on node " << node
+                   << " failed checksum verification (" << read_size << "/"
+                   << pinned.length << " bytes); failing over";
       last = Status::IOError("replica checksum mismatch for block " +
-                             std::to_string(location.block));
+                             std::to_string(pinned.block));
       continue;
     }
-    return bytes;
+    return &replica;
   }
   return Status::IOError("all replicas unavailable for block " +
-                         std::to_string(location.block) + ": " +
+                         std::to_string(pinned.block) + ": " +
                          last.ToString());
 }
 
 StatusOr<std::vector<uint8_t>> MiniDfs::ReadBlock(
     const std::string& name, std::size_t block_index) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ReadBlockLocked(name, block_index);
+  SPQ_ASSIGN_OR_RETURN(std::vector<PinnedBlock> pinned,
+                       PinBlocks(name, block_index, 1));
+  SPQ_ASSIGN_OR_RETURN(const std::vector<uint8_t>* bytes,
+                       VerifyBlock(pinned.front()));
+  return *bytes;
+}
+
+StatusOr<FileView> MiniDfs::ReadFileView(const std::string& name) const {
+  SPQ_ASSIGN_OR_RETURN(std::vector<PinnedBlock> pinned,
+                       PinBlocks(name, 0, 0));
+  FileView view;
+  if (pinned.size() == 1) {
+    SPQ_ASSIGN_OR_RETURN(const std::vector<uint8_t>* bytes,
+                         VerifyBlock(pinned.front()));
+    view.view_ = bytes->data();
+    view.view_size_ = bytes->size();
+    view.block_crc_ = pinned.front().crc32c;
+    return view;
+  }
+  uint64_t size = 0;
+  for (const PinnedBlock& pin : pinned) size += pin.length;
+  view.owned_.reserve(size);
+  for (const PinnedBlock& pin : pinned) {
+    SPQ_ASSIGN_OR_RETURN(const std::vector<uint8_t>* bytes, VerifyBlock(pin));
+    view.owned_.insert(view.owned_.end(), bytes->begin(), bytes->end());
+  }
+  return view;
 }
 
 StatusOr<std::vector<uint8_t>> MiniDfs::ReadFile(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SPQ_ASSIGN_OR_RETURN(FileMetadata meta, GetMetadataLocked(name));
-  std::vector<uint8_t> data;
-  data.reserve(meta.size);
-  for (std::size_t i = 0; i < meta.blocks.size(); ++i) {
-    SPQ_ASSIGN_OR_RETURN(std::vector<uint8_t> block,
-                         ReadBlockLocked(name, i));
-    data.insert(data.end(), block.begin(), block.end());
-  }
-  return data;
+  SPQ_ASSIGN_OR_RETURN(FileView view, ReadFileView(name));
+  if (!view.block_crc_.has_value()) return std::move(view.owned_);
+  return std::vector<uint8_t>(view.data(), view.data() + view.size());
 }
 
 bool MiniDfs::FileExists(const std::string& name) const {

@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -31,6 +33,35 @@ struct DfsOptions {
   mapreduce::FaultSpec faults;
 };
 
+/// \brief A whole file read through replica verification
+/// (MiniDfs::ReadFileView), for callers that decode the bytes in place.
+///
+/// A single-block file is a view of the replica that passed the length +
+/// CRC-32C check — no copy. The view stays valid while its MiniDfs lives:
+/// a DataNode never moves, frees or changes a stored replica after Put
+/// (DataNode::CorruptReplica, a test hook, is the one exception; tests call
+/// it only while no read is in flight). A multi-block file is assembled
+/// into an owned buffer, one copy.
+class FileView {
+ public:
+  const uint8_t* data() const {
+    return block_crc_.has_value() ? view_ : owned_.data();
+  }
+  std::size_t size() const {
+    return block_crc_.has_value() ? view_size_ : owned_.size();
+  }
+  /// Single-block files: the CRC-32C the block was written with, which the
+  /// bytes were verified against. nullopt for multi-block files.
+  const std::optional<uint32_t>& block_crc() const { return block_crc_; }
+
+ private:
+  friend class MiniDfs;
+  const uint8_t* view_ = nullptr;
+  std::size_t view_size_ = 0;
+  std::optional<uint32_t> block_crc_;
+  std::vector<uint8_t> owned_;
+};
+
 /// \brief A single-process simulation of HDFS: files are split into
 /// blocks, blocks are replicated onto `replication` distinct DataNodes,
 /// and a NameNode-style metadata map tracks locations.
@@ -41,14 +72,17 @@ struct DfsOptions {
 /// by tests to exercise the fault-tolerance story the paper's platform
 /// provides.
 ///
-/// Thread safety: the file API (WriteFile/ReadFile/ReadBlock/GetMetadata/
-/// FileExists/ListFiles/DeleteFile) is guarded by one coarse mutex, so
-/// concurrent lazy cell restores may race with a Checkpoint writing new
-/// files. This serializes I/O — acceptable for a single-process simulation;
-/// a real DFS client would stripe reads. The `datanode()` accessors hand
-/// out raw node references for test-side fault injection (kill/corrupt)
-/// and are NOT covered by the lock: tests mutate nodes only while no
-/// concurrent file I/O is in flight.
+/// Thread safety: the file API (WriteFile/ReadFile/ReadFileView/ReadBlock/
+/// GetMetadata/FileExists/ListFiles/DeleteFile) is guarded by one mutex,
+/// so concurrent lazy cell restores may run beside a Checkpoint writing
+/// new files. Writes hold it for the whole write. Reads hold it only to
+/// look up the file's metadata and its replicas' storage; verifying and
+/// copying the bytes runs outside it. That is safe because replica bytes
+/// never change after Put, and DataNode's unordered_map keeps each stored
+/// replica at a fixed address while other blocks are inserted. The
+/// `datanode()` accessors hand out raw node references for test-side
+/// fault injection (kill/corrupt) and are NOT covered by the lock: tests
+/// mutate nodes only while no concurrent file I/O is in flight.
 class MiniDfs {
  public:
   explicit MiniDfs(DfsOptions options = {});
@@ -64,6 +98,9 @@ class MiniDfs {
   /// NotFound for unknown files, IOError when some block has no live
   /// replica.
   StatusOr<std::vector<uint8_t>> ReadFile(const std::string& name) const;
+
+  /// ReadFile without the copy for single-block files; see FileView.
+  StatusOr<FileView> ReadFileView(const std::string& name) const;
 
   /// Reads one block of a file (the unit a map task consumes).
   StatusOr<std::vector<uint8_t>> ReadBlock(const std::string& name,
@@ -106,10 +143,25 @@ class MiniDfs {
   /// `mu_`.
   StatusOr<std::vector<NodeId>> PlaceReplicas();
 
-  /// Unlocked internals — caller holds `mu_`.
-  StatusOr<FileMetadata> GetMetadataLocked(const std::string& name) const;
-  StatusOr<std::vector<uint8_t>> ReadBlockLocked(
-      const std::string& name, std::size_t block_index) const;
+  /// One block's location with its replicas' storage looked up, so the
+  /// bytes can be verified after `mu_` is released.
+  struct PinnedBlock {
+    BlockId block = 0;
+    uint64_t length = 0;
+    uint32_t crc32c = 0;
+    std::vector<std::pair<NodeId, StatusOr<const std::vector<uint8_t>*>>>
+        replicas;
+  };
+  /// Pins blocks [first, first + count) of `name` (count 0 = through the
+  /// last block) under `mu_`.
+  StatusOr<std::vector<PinnedBlock>> PinBlocks(const std::string& name,
+                                               std::size_t first,
+                                               std::size_t count) const;
+  /// Replica failover over a pinned block: returns the first replica whose
+  /// bytes match the recorded length and CRC-32C. Injected read faults
+  /// apply to a copy of the replica, which then fails verification.
+  StatusOr<const std::vector<uint8_t>*> VerifyBlock(
+      const PinnedBlock& pinned) const;
 
   DfsOptions options_;
   /// Guards files_, next_block_, rng_, and node block maps reached through

@@ -207,6 +207,24 @@ class FlatSegmentReader {
     }
   }
 
+  /// Walks a flat image where it already lives in memory (e.g. a verified
+  /// DFS replica): `size` bytes at `data`, holding `num_records` records
+  /// followed by `pool_bytes` of keyword pool. The counts may come from
+  /// untrusted metadata, so the layout is checked without overflow.
+  FlatSegmentReader(const uint8_t* data, uint64_t size, uint64_t num_records,
+                    uint64_t pool_bytes)
+      : n_(num_records) {
+    const uint64_t row_bytes = FlatSegment::kKeyRowBytes + kStride;
+    if (n_ > size / row_bytes || size - n_ * row_bytes != pool_bytes) {
+      status_ = Status::Internal("flat segment size mismatch");
+      return;
+    }
+    keys_ = data;
+    payloads_ = keys_ + n_ * FlatSegment::kKeyRowBytes;
+    pool_ = payloads_ + n_ * kStride;
+    pool_len_ = pool_bytes;
+  }
+
   /// Advances to the next record; accessors are valid after a true return
   /// and stay valid until the next call. Errors latch into status().
   bool Next() {

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <string>
 
-#include "common/simd.h"
 #include "geo/grid.h"
 #include "mapreduce/job.h"
 #include "spq/shuffle_types.h"
@@ -112,17 +111,19 @@ class Tally {
 /// cell's data objects (the |O_i|·|F_i| loop of Algorithms 2/4/6).
 enum class JoinMode {
   /// The paper's loop: every feature scans every data object of the cell.
-  /// Retained for A/B benchmarking (bench_reduce) and as the reference
-  /// semantics the equivalence tests pin the indexed mode against.
+  /// Kept as the reference semantics the equivalence tests pin kAuto
+  /// against, and as the A/B baseline of bench_reduce.
   kLinearScan,
-  /// Default: the group's data objects are packed into a small SoA
-  /// mini-grid (reduce_core.h, CellGridIndex) and each feature's radius
-  /// probe walks only the buckets overlapping its r-disk. Results, feature
-  /// consumption and early-termination behavior are bit-identical to
-  /// kLinearScan (see join_equivalence_test.cc); only the number of
-  /// distance evaluations (`reduce.pairs_tested`) shrinks — which is the
-  /// point, especially on coarse grids where cells hold many objects.
-  kGridIndex,
+  /// Default: per (cell, query), scan the cell's rows or walk a small SoA
+  /// mini-grid over them (reduce_core.h, CellGridIndex) whose buckets
+  /// overlap each feature's r-disk — the index when the cell holds many
+  /// live rows and the probe square covers a small share of their
+  /// bounding box (reduce_core.h, UseGridIndex), the scan otherwise.
+  /// Results, feature consumption and early-termination behavior are
+  /// bit-identical to kLinearScan (see join_equivalence_test.cc); only the
+  /// number of distance evaluations (`reduce.pairs_tested`) shrinks where
+  /// the index is picked.
+  kAuto,
 };
 
 /// \brief Tunables of the generated job beyond the algorithm choice.
@@ -133,10 +134,7 @@ struct SpqJobOptions {
   /// and (for pSPQ/eSPQlen) scored in the reducers.
   bool keyword_prefilter = true;
   /// Reduce-side data↔feature join strategy; see JoinMode.
-  JoinMode join_mode = JoinMode::kGridIndex;
-  /// Distance-kernel backend for the reduce-side radius probes; see
-  /// simd::KernelMode. kScalar is the A/B reference path.
-  simd::KernelMode kernel_mode = simd::KernelMode::kAuto;
+  JoinMode join_mode = JoinMode::kAuto;
   /// Keyword-signature screening (TermSignature): map-side it skips the
   /// exact q.W ∩ f.W merge for features whose signature already proves the
   /// intersection empty; warm-serving reducers additionally skip whole

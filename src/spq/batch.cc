@@ -215,21 +215,20 @@ class BatchMapper final
 /// The cache is a thin per-cell view shaped exactly like a CellStore
 /// partition: the sentinel group's data objects land straight in a
 /// CellData (SoA ids/positions — no retained ShuffleObjects or views) and
-/// the lazily built CellGridIndex is SHARED by every query group of the
-/// cell; the per-query state (scores / report bitmap) lives in the
-/// QueryScratch the reduce cores re-initialize each group. Before this
-/// refactor each query group replayed the raw records through the reduce
-/// core, rebuilding CellData and the index per query.
+/// its join structures (extent, plus the grid index once the join rule
+/// picks it) are SHARED by every query group of the cell; the per-query
+/// state (scores / report bitmap) lives in the QueryScratch the reduce
+/// cores re-initialize each group.
 struct BatchCellCache {
   reduce_core::CellData cell;
-  reduce_core::CellGridIndex index;
+  reduce_core::CellJoinIndex join;
   reduce_core::QueryScratch scratch;
   geo::CellId cache_cell = 0;
   bool has_cache = false;
 
   void Rebind(geo::CellId c) {
     cell.Clear();
-    index.Reset();  // Sync compares sizes only; contents changed
+    join.Reset();  // growth is tracked by size only; contents changed
     cache_cell = c;
     has_cache = true;
   }
@@ -280,8 +279,8 @@ class BatchReducer final
     const uint32_t q = group_key.query - 1;
     if (q >= queries_->size()) return;  // defensive
     // Owned ref: the cache is private to this reduce task, and the index
-    // is still allowed to build lazily at the cell's first probe.
-    reduce_core::OwnedCellRef cell_ref{&state_.cell, &state_.index};
+    // is still allowed to build lazily at the first probe that picks it.
+    reduce_core::OwnedCellRef cell_ref{&state_.cell, &state_.join};
     reduce_core::RunReduce(algo_, options_, (*queries_)[q], cell_ref,
                            state_.scratch, values, tally_,
                            [&ctx, q](const ResultEntry& e) {

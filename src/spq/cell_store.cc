@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/buffer.h"
@@ -200,7 +201,7 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
   }
   Partition& part = *cells_[cell];
   // Fast path: a ready partition is frozen; the acquire pairs with the
-  // release below so the reader sees the completed data + index.
+  // release below so the reader sees the completed data + join.
   if (part.ready.load(std::memory_order_acquire)) return &part;
   std::lock_guard<std::mutex> latch(part.latch);
   if (part.ready.load(std::memory_order_relaxed)) return &part;
@@ -210,14 +211,13 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
     // every pending insert erased). Drop the persisted form and the delta
     // whole — decoding rows just to discard them buys nothing.
     part.data.Clear();
-    part.index.Reset();
+    part.join.Reset();
     part.segment.bytes.clear();
     part.segment.bytes.shrink_to_fit();
     part.delta_inserts.clear();
     part.delta_tombstones.clear();
     part.dead.clear();
     part.dead_rows.clear();
-    part.index.Build(part.data.positions);
     part.ready.store(true, std::memory_order_release);
     return &part;
   }
@@ -227,6 +227,8 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
   metrics::ScopedLatencyTimer materialize_timer(
       &StoreRegistryMetrics::Get().materialize_ns);
   StoreRegistryMetrics::Get().cells_materialized.Increment();
+  // A restored image is decoded where the DFS holds it (invariant 3).
+  std::optional<dfs::FileView> restored;
   if (recovered() && part.segment.num_records > 0 &&
       part.segment.bytes.empty()) {
     // Cell-granular lazy recovery (class invariant 3): pull this cell's
@@ -236,7 +238,7 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
     // served as garbage.
     auto image = RestoreImage(cell);
     if (image.ok()) {
-      part.segment.bytes = *std::move(image);
+      restored = *std::move(image);
       cells_restored_.fetch_add(1, std::memory_order_relaxed);
       StoreRegistryMetrics::Get().cells_restored.Increment();
     } else {
@@ -254,15 +256,21 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
   // stale rows or a stale tombstone mask behind. The delta log itself is
   // read-only until the fold succeeds, so retries replay it intact.
   part.data.Clear();
-  part.index.Reset();
+  part.join.Reset();
   part.dead.clear();
   part.dead_rows.clear();
   part.data.Reserve(part.record_count);
   if (part.segment.num_records > 0) {
-    mr::internal::FlatSegmentReader<CellKey, ShuffleObject> reader(
-        &part.segment);
-    while (reader.Next()) part.data.Add(reader.view());
-    SPQ_RETURN_NOT_OK(reader.status());
+    std::optional<mr::internal::FlatSegmentReader<CellKey, ShuffleObject>>
+        reader;
+    if (restored.has_value()) {
+      reader.emplace(restored->data(), restored->size(),
+                     part.segment.num_records, part.segment.pool_bytes);
+    } else {
+      reader.emplace(&part.segment);
+    }
+    while (reader->Next()) part.data.Add(reader->view());
+    SPQ_RETURN_NOT_OK(reader->status());
     if (part.data.size() != part.segment.num_records) {
       return Status::Internal("store partition truncated");
     }
@@ -286,13 +294,12 @@ StatusOr<const CellStore::Partition*> CellStore::Serve(
                             std::to_string(part.data.size()) + " rows, " +
                             std::to_string(part.record_count) + " expected");
   }
-  // Build the index eagerly so serving never mutates a ready partition:
-  // the reduce cores' FrozenCellRef treats SyncIndex as a no-op. Dead
-  // rows are masked out of the bucket geometry so probes enumerate
-  // exactly the candidate sets a fresh build over the surviving rows
-  // would (invariant M2 — pairs_tested counts those sets).
-  part.index.Build(part.data.positions,
-                   part.dead.empty() ? nullptr : &part.dead);
+  // Build the join structures eagerly so serving never mutates a ready
+  // partition: the reduce cores' FrozenCellRef only reads them. Dead rows
+  // are masked out of the extent and the bucket geometry so the join rule
+  // and every probe see exactly what a fresh build over the surviving rows
+  // would (invariant M2 — pairs_tested counts those probes).
+  part.join.Build(part.data.positions, &part.dead);
   // Nothing after this point can fail: the delta is folded in, release it.
   part.delta_inserts.clear();
   part.delta_inserts.shrink_to_fit();
@@ -378,7 +385,9 @@ StatusOr<std::vector<uint8_t>> CellStore::SegmentImageOf(
       if (recovered() && dfs_ != nullptr) {
         // Recovered and never touched: copy the image forward from the
         // source checkpoint (verified there).
-        return RestoreImage(cell);
+        SPQ_ASSIGN_OR_RETURN(dfs::FileView image, RestoreImage(cell));
+        return std::vector<uint8_t>(image.data(),
+                                    image.data() + image.size());
       }
       return Status::Internal("store cell " + std::to_string(cell) +
                               " has records but no image source");
@@ -403,21 +412,25 @@ StatusOr<std::vector<uint8_t>> CellStore::SegmentImageOf(
   return std::move(seg.bytes);
 }
 
-StatusOr<std::vector<uint8_t>> CellStore::RestoreImage(
-    geo::CellId cell) const {
+StatusOr<dfs::FileView> CellStore::RestoreImage(geo::CellId cell) const {
   SPQ_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> bytes,
-      dfs_->ReadFile(CellFile(checkpoint_name_, checkpoint_epoch_, cell)));
+      dfs::FileView image,
+      dfs_->ReadFileView(CellFile(checkpoint_name_, checkpoint_epoch_, cell)));
   const Partition& part = *cells_[cell];
-  if (bytes.size() != part.segment.byte_size ||
-      Crc32c(bytes) != cell_crcs_[cell]) {
+  // Single block: the DFS verified the bytes against the block's recorded
+  // length and CRC, so comparing those with the manifest's is the same
+  // check as recomputing the CRC (invariant 3).
+  const uint32_t crc = image.block_crc().has_value()
+                           ? *image.block_crc()
+                           : Crc32c(image.data(), image.size());
+  if (image.size() != part.segment.byte_size || crc != cell_crcs_[cell]) {
     return Status::IOError("store cell " + std::to_string(cell) +
                            " checkpoint image failed verification (" +
-                           std::to_string(bytes.size()) + " of " +
+                           std::to_string(image.size()) + " of " +
                            std::to_string(part.segment.byte_size) +
                            " bytes)");
   }
-  return bytes;
+  return image;
 }
 
 Status CellStore::RebuildPartition(geo::CellId cell, Partition& part) const {
@@ -793,9 +806,10 @@ std::shared_ptr<CellStore::Partition> CellStore::CowPartition(
     geo::CellId cell) const {
   const Partition& base = *cells_[cell];
   auto part = std::make_shared<Partition>();
+  // The join structures are not copied: every caller edits a ready copy's
+  // rows and then rebuilds them (WithInsert, WithDelete, CompactPartition).
   auto copy_serving_form = [&part, &base]() {
     part->data = base.data;
-    part->index = base.index;
     part->dead = base.dead;
     part->dead_rows = base.dead_rows;
     // Base bookkeeping travels along so checkpoints/restores of OTHER
@@ -853,7 +867,7 @@ void CellStore::CompactPartition(Partition& part) {
   DropDeadRows(part);
   // A fresh Build gives exactly the structure a from-scratch store build
   // would serve for the surviving rows (invariant M4).
-  part.index.Build(part.data.positions);
+  part.join.Build(part.data.positions);
 }
 
 bool CellStore::MaybeCompact(Partition& part,
@@ -928,13 +942,13 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::WithInsert(
     if (!part->dead.empty()) part->dead.push_back(0);
     part->record_count = part->data.size();
     ++part->live_count;
-    // Fresh rebuild, not a pending-list Append: the bucket geometry (live
-    // bbox, side ≈ √live) must equal what a from-scratch build over the
-    // logical rows derives, or probe candidate supersets — and therefore
+    // Fresh rebuild, not a pending-list Append: the live extent and the
+    // bucket geometry (live bbox, side ≈ √live) must equal what a
+    // from-scratch build over the logical rows derives, or the join
+    // choice and the probe candidate supersets — and therefore
     // pairs_tested — drift from the rebuild reference (invariant M2).
     // O(cell rows), amortized fine: cells hold ~n/cells rows.
-    part->index.Build(part->data.positions,
-                      part->dead.empty() ? nullptr : &part->dead);
+    part->join.Build(part->data.positions, &part->dead);
   } else {
     ShuffleObject row;
     row.kind = ShuffleObject::kData;
@@ -988,8 +1002,8 @@ StatusOr<std::unique_ptr<CellStore>> CellStore::WithDelete(
     part->dead_rows.push_back(static_cast<uint32_t>(row));
     --part->live_count;
     // Same geometry contract as the insert path: the dead row must leave
-    // the bucket geometry immediately (invariant M2).
-    part->index.Build(part->data.positions, &part->dead);
+    // the extent and the bucket geometry immediately (invariant M2).
+    part->join.Build(part->data.positions, &part->dead);
   } else {
     auto it = std::find_if(
         part->delta_inserts.begin(), part->delta_inserts.end(),
@@ -1225,7 +1239,7 @@ StatusOr<mr::JobOutput<ResultEntry>> RunWarmQueryJob(
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
                          store.Serve(key.cell));
-    reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
+    reduce_core::FrozenCellRef cell_ref{&part->data, &part->join,
                                         &part->dead_rows};
     reduce_core::RunReduce(algo, options, query, cell_ref, scratch, cursor,
                            tally,
@@ -1262,7 +1276,7 @@ StatusOr<mr::JobOutput<BatchResultEntry>> RunWarmBatchJob(
     }
     SPQ_ASSIGN_OR_RETURN(const CellStore::Partition* part,
                          store.Serve(key.cell));
-    reduce_core::FrozenCellRef cell_ref{&part->data, &part->index,
+    reduce_core::FrozenCellRef cell_ref{&part->data, &part->join,
                                         &part->dead_rows};
     reduce_core::RunReduce(algo, options, queries[q], cell_ref, scratch,
                            cursor, tally,

@@ -82,11 +82,12 @@ struct CellTextSummary {
 ///   - `segment`: the cell's records in the persisted flat-arena form
 ///     (FlatSegment layout from merge.h — key rows / payloads / TermId
 ///     pool), exactly as a reduce task would have received them;
-///   - `data` + `index`: the serving form, materialized lazily from the
+///   - `data` + `join`: the serving form, materialized lazily from the
 ///     segment at the cell's first query touch — the SoA CellData the
-///     reduce cores join against plus one cached CellGridIndex that is
-///     maintained incrementally (CellGridIndex::Sync) instead of being
-///     rebuilt per reduce group.
+///     reduce cores join against plus its live extent and, for cells with
+///     at least reduce_core::kIndexMinRows live rows, one CellGridIndex
+///     built once instead of per reduce group (smaller cells always scan
+///     and build none).
 ///
 /// Warm queries then shuffle only their features (see RunWarmQueryJob /
 /// RunWarmBatchJob): each reduce group joins its feature stream against
@@ -102,8 +103,8 @@ struct CellTextSummary {
 ///
 ///   - SNAPSHOT-IMMUTABLE: grid geometry, per-cell record counts, text
 ///     summaries, build stats, checkpoint metadata — and, once a cell's
-///     `ready` flag is set, that cell's CellData + fully built
-///     CellGridIndex. Concurrent queries read all of it lock-free; the
+///     `ready` flag is set, that cell's CellData + fully built join
+///     structures. Concurrent queries read all of it lock-free; the
 ///     reduce cores access it through a const FrozenCellRef and write
 ///     only into their own QueryScratch.
 ///   - FIRST-TOUCH MUTABLE, latched: lazy materialization (restore from
@@ -146,7 +147,14 @@ struct CellTextSummary {
 ///     partition is re-read from its checkpoint file at first query
 ///     touch (Serve), verified against the manifest's per-cell byte size
 ///     and CRC-32C and the flat-segment structure checks, and then
-///     materialized exactly like a built partition. Recovery cost is
+///     materialized exactly like a built partition, decoded straight from
+///     the DFS's verified view of the replica (no copy). For a
+///     single-block file the manifest check compares the manifest's size
+///     and CRC with the block's recorded length and CRC: the DFS returns
+///     only replica bytes of exactly that length and CRC, so the two
+///     match iff the bytes match the manifest — the same verdict as
+///     recomputing the CRC, without a second pass. Multi-block files
+///     recompute it over the assembled bytes. Recovery cost is
 ///     proportional to the cells a query touches, not store size.
 ///  4. Verified or rebuilt, never garbage. A cell file that fails
 ///     verification (every DFS replica corrupt, length drift) is loudly
@@ -184,14 +192,16 @@ struct CellTextSummary {
 ///      of the reduce cores' per-query scratch before any pair is counted
 ///      (FrozenCellRef::DeadRows) — provably equivalent to physical
 ///      absence for results and every counter under a linear scan — and
-///      a mutation on a materialized cell rebuilds its mini-grid index
-///      with the dead rows masked OUT of the bucket geometry
-///      (CellGridIndex's dead-masked Build), so indexed probes enumerate
-///      exactly the candidate supersets a fresh build over the surviving
-///      rows enumerates. pairs_tested counts those supersets: an
-///      incremental pending-list append or a geometry still spanning dead
-///      rows would drift the counter even though results stay correct,
-///      which is why the serving index is rebuilt fresh per mutation.
+///      a mutation on a materialized cell rebuilds its join structures
+///      with the dead rows masked OUT (CellJoinIndex's dead-masked
+///      Build): the live extent, and with it the scan-or-index choice,
+///      equals a fresh build's, and indexed probes enumerate exactly the
+///      candidate supersets a fresh build over the surviving rows
+///      enumerates. pairs_tested counts those supersets: an incremental
+///      pending-list append or a geometry still spanning dead rows would
+///      drift the counter even though results stay correct, which is why
+///      the serving structures are rebuilt fresh per mutation (an extent
+///      pass only, for cells below kIndexMinRows live rows).
 ///  M3. Delta logs fold at first touch. A mutation against a cell that is
 ///      not materialized (never served, or recovered-lazy) costs O(delta):
 ///      inserts append to `delta_inserts`, deletes of base rows append to
@@ -213,7 +223,7 @@ struct CellTextSummary {
 class CellStore {
  public:
   /// One cell's resident partition (see class comment). Everything but
-  /// `segment.bytes`, `data` and `index` is immutable after Build/Recover;
+  /// `segment.bytes`, `data` and `join` is immutable after Build/Recover;
   /// those three change exactly once — under `latch`, before `ready` is
   /// released — and are frozen from then on.
   ///
@@ -227,7 +237,7 @@ class CellStore {
     mapreduce::FlatSegment segment;    ///< persisted form; bytes released
                                        ///< once materialized
     reduce_core::CellData data;        ///< serving form (SoA), frozen
-    reduce_core::CellGridIndex index;  ///< built eagerly with `data`, frozen
+    reduce_core::CellJoinIndex join;   ///< built eagerly with `data`, frozen
     uint64_t record_count = 0;  ///< physical serving rows (live + dead)
     uint64_t live_count = 0;    ///< rows not tombstoned
     /// Tombstone state of a materialized partition: byte mask parallel to
@@ -243,7 +253,7 @@ class CellStore {
     /// threshold while the partition was unready); `record_count` is
     /// already the post-compaction row count when this is set.
     bool compact_on_fold = false;
-    /// Materialization gate: acquire-load true ⇒ data/index are complete
+    /// Materialization gate: acquire-load true ⇒ data/join are complete
     /// and immutable. The mutex serializes the one-time materialization
     /// (std::once_flag semantics, but re-armable on failure).
     std::atomic<bool> ready{false};
@@ -425,10 +435,10 @@ class CellStore {
   /// partition; returns true when the cell was (or will be, at fold time)
   /// compacted.
   static bool MaybeCompact(Partition& part, const MutationOptions& options);
-  /// Rewrites a materialized partition live-rows-only (no index rebuild;
-  /// Serve's fold path builds the index afterwards anyway).
+  /// Rewrites a materialized partition live-rows-only (no join rebuild;
+  /// Serve's fold path builds the join structures afterwards anyway).
   static void DropDeadRows(Partition& part);
-  /// DropDeadRows + fresh index build — full compaction of a materialized
+  /// DropDeadRows + fresh join build — full compaction of a materialized
   /// partition (invariant M4).
   static void CompactPartition(Partition& part);
   /// Folds a partition's delta log into its freshly decoded serving form
@@ -440,8 +450,8 @@ class CellStore {
   /// cells.
   StatusOr<std::vector<uint8_t>> SegmentImageOf(geo::CellId cell) const;
   /// Reads + verifies one cell's image from this store's source
-  /// checkpoint (size + CRC-32C against the manifest).
-  StatusOr<std::vector<uint8_t>> RestoreImage(geo::CellId cell) const;
+  /// checkpoint (size + CRC-32C against the manifest; invariant 3).
+  StatusOr<dfs::FileView> RestoreImage(geo::CellId cell) const;
   /// Corruption fallback: re-derives the cell's image from the attached
   /// dataset via the build's deterministic per-cell layout.
   Status RebuildPartition(geo::CellId cell, Partition& part) const;
@@ -494,7 +504,7 @@ class CellStore {
 /// scoring — with the baseline's exact counter footprint replayed
 /// (reduce.cells_pruned / reduce.signature_checks record the screening
 /// itself). Results and the pre-existing counters stay bit-identical to
-/// signature_prefilter=off; see store_equivalence / kernel_equivalence
+/// signature_prefilter=off; see store_equivalence / join_equivalence
 /// tests.
 StatusOr<mapreduce::JobOutput<ResultEntry>> RunWarmQueryJob(
     const CellStore& store, Algorithm algo, const Query& query,

@@ -238,7 +238,6 @@ SpqJobOptions SpqEngine::MakeJobOptions() const {
   SpqJobOptions job_options;
   job_options.keyword_prefilter = options_.keyword_prefilter;
   job_options.join_mode = options_.join_mode;
-  job_options.kernel_mode = options_.kernel_mode;
   job_options.signature_prefilter = options_.signature_prefilter;
   return job_options;
 }

@@ -91,20 +91,13 @@ struct EngineOptions {
   /// for A/B benchmarking (results are identical — see the shuffle
   /// equivalence tests and bench_shuffle).
   mapreduce::ShuffleMode shuffle_mode = mapreduce::ShuffleMode::kCellBucketed;
-  /// Reduce-side join strategy: kGridIndex (default) answers each
-  /// feature's radius probe off a per-group mini-grid over the cell's
-  /// data objects; kLinearScan is the paper's full |O_i| scan per
+  /// Reduce-side join strategy: kAuto (default) answers each reduce
+  /// group's radius probes by scanning the cell or off a mini-grid over
+  /// its data objects, whichever the per-cell rule picks (reduce_core.h,
+  /// UseGridIndex); kLinearScan is the paper's full |O_i| scan per
   /// feature, kept for A/B benchmarking (bench_reduce). Results are
   /// identical — see join_equivalence_test.cc.
-  JoinMode join_mode = JoinMode::kGridIndex;
-  /// Distance-kernel backend for the reduce-side radius probes: kAuto
-  /// (default) batches each probe's candidates through the SIMD kernel
-  /// (AVX2 lanes of 4 when compiled in via SPQ_SIMD and supported by the
-  /// CPU, a portable batched loop otherwise); kScalar is the historical
-  /// one-candidate-at-a-time loop, kept for A/B benchmarking
-  /// (bench_reduce). Results and ALL SPQ counters are bit-identical — see
-  /// kernel_equivalence_test.cc.
-  simd::KernelMode kernel_mode = simd::KernelMode::kAuto;
+  JoinMode join_mode = JoinMode::kAuto;
   /// Keyword-signature screening (64-bit TermSignature): map-side, a one-
   /// AND screen stands in for the exact q.W ∩ f.W merge on provably
   /// disjoint features; warm-path reducers also skip whole cells whose

@@ -6,10 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <vector>
 
-#include "common/simd.h"
 #include "common/trace.h"
 #include "geo/point.h"
 #include "mapreduce/job.h"
@@ -34,21 +32,17 @@ namespace spq::core::reduce_core {
 /// objects in the algorithm's sort order) and emits per-cell results
 /// through `emit(const ResultEntry&)`.
 ///
-/// The data↔feature pair loop runs in one of two JoinModes
-/// (algorithms.h): the paper's linear scan, or the default mini-grid
-/// index (CellGridIndex below) that answers each feature's radius probe
-/// with a bucket range walk. Both modes produce bit-identical results and
-/// identical counters except `reduce.pairs_tested`, which counts the
+/// The data↔feature pair loop either scans the cell's rows (the paper's
+/// loop) or walks a mini-grid index (CellGridIndex below) that answers
+/// each feature's radius probe with a bucket range walk. JoinMode::kAuto
+/// (algorithms.h) picks one of the two per (cell, query) with
+/// UseGridIndex, a pure function of the cell's live rows and the radius;
+/// kLinearScan always scans. Both branches produce bit-identical results
+/// and identical counters except `reduce.pairs_tested`, which counts the
 /// distance evaluations actually performed — the quantity the index
-/// shrinks.
-///
-/// Orthogonally, KernelMode (common/simd.h) picks how surviving candidates
-/// get their distance test: kScalar keeps the historical one-at-a-time
-/// loop, kAuto gathers each probe's candidates and evaluates them through
-/// the batched DistanceWithinMask kernel (AVX2 lanes of 4 when available).
-/// Results and ALL counters — including pairs_tested — are bit-identical
-/// across kernel modes; see kernel_equivalence_test.cc and the proof
-/// sketches at ScoreFeatureAgainstCell / RunEspqSco.
+/// shrinks. Because the rule reads only the live rows and r, every path
+/// (cold, warm, batch, mutated, recovered) takes the same branch for the
+/// same cell, so their pairs_tested agree too.
 
 /// In-memory O_i of one reduce group, kept as parallel contiguous arrays
 /// (SoA): `positions` doubles as the storage the CellGridIndex buckets
@@ -84,23 +78,92 @@ struct CellData {
   }
 };
 
-/// \brief SoA mini-grid over one reduce group's data-object positions
-/// (JoinMode::kGridIndex). Built lazily at the first feature probe from
+/// Count and bounding box of a cell's live rows — all the join rule
+/// (UseGridIndex) and the index geometry (CellGridIndex) read of a cell.
+struct CellExtent {
+  std::size_t rows = 0;
+  double min_x = 0.0, max_x = 0.0, min_y = 0.0, max_y = 0.0;
+
+  void Absorb(const geo::Point& p) {
+    if (rows == 0) {
+      min_x = max_x = p.x;
+      min_y = max_y = p.y;
+    } else {
+      min_x = std::min(min_x, p.x);
+      max_x = std::max(max_x, p.x);
+      min_y = std::min(min_y, p.y);
+      max_y = std::max(max_y, p.y);
+    }
+    ++rows;
+  }
+
+  /// The extent of `positions`, skipping the rows `dead` marks when it is
+  /// non-null. Rows are absorbed in index order, so extending an extent
+  /// row by row as a cell grows gives the same result.
+  static CellExtent Of(const std::vector<geo::Point>& positions,
+                       const std::vector<uint8_t>* dead = nullptr) {
+    CellExtent e;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      if (dead == nullptr || !(*dead)[i]) e.Absorb(positions[i]);
+    }
+    return e;
+  }
+};
+
+/// Buckets per side of a CellGridIndex over `rows` live rows: ≈ √rows, so
+/// the bucket array stays O(rows) at ~1 row per bucket.
+inline uint32_t GridSide(std::size_t rows) {
+  constexpr double kMaxSide = 256.0;
+  return static_cast<uint32_t>(std::clamp(
+      std::ceil(std::sqrt(static_cast<double>(rows))), 1.0, kMaxSide));
+}
+
+/// Cells with fewer live rows than this always scan, and no CellGridIndex
+/// is ever built for them. Derived from a sweep of rows/cell × r/cell ×
+/// algorithm (table in CHANGES.md): at 320 rows the index won at most
+/// ~20% warm; toward 1,000 rows its warm wins at small r grew to ~40%,
+/// but the cold path, which builds it per group, lost 3–8% there, and
+/// every materialization and mutation of the cell pays its upkeep.
+inline constexpr std::size_t kIndexMinRows = 1024;
+
+/// Largest share of the live rows' bounding box a probe square may cover
+/// for the index to be used. The square is [p ± r] plus the index's
+/// one-bucket pad on each side. From the same sweep: above this share the
+/// scan beat the index for eSPQsco (whose Lemma-3 scan stops after k
+/// hits), and at or below it the index won or tied for every algorithm.
+inline constexpr double kIndexMaxCoverage = 0.04;
+
+/// The join rule of JoinMode::kAuto: true when the radius-`r` probes of a
+/// cell with live extent `extent` should walk its CellGridIndex, false
+/// when they should scan its rows. Pure in (live rows, live bounding box,
+/// r), so every path that serves the cell decides alike. A degenerate
+/// axis (all rows on one line) counts as fully covered; any NaN scans.
+inline bool UseGridIndex(const CellExtent& extent, double r) {
+  if (extent.rows < kIndexMinRows) return false;
+  const double pad = 2.0 / GridSide(extent.rows);  // two buckets, as a share
+  auto covered = [&](double lo, double hi) {
+    const double w = hi - lo;
+    return w > 0.0 ? std::min(1.0, 2.0 * r / w + pad) : 1.0;
+  };
+  return covered(extent.min_x, extent.max_x) *
+             covered(extent.min_y, extent.max_y) <=
+         kIndexMaxCoverage;
+}
+
+/// \brief SoA mini-grid over one reduce group's data-object positions.
+/// Built at the first probe the join rule (UseGridIndex) sends to it, from
 /// the positions accumulated so far; positions that arrive later (late
-/// data in degenerate secondary-key ties, or rows appended to a resident
-/// store partition) are absorbed *incrementally* via Sync/Append — they
-/// land in a small pending list consulted by every probe and are folded
-/// into the CSR arrays once the list outgrows kMaxPending, so late
-/// arrivals no longer trigger an O(n) rebuild each.
+/// data in degenerate secondary-key ties) are absorbed *incrementally* via
+/// Sync/Append — they land in a small pending list consulted by every
+/// probe and are folded into the CSR arrays once the list outgrows
+/// kMaxPending, so late arrivals never trigger an O(n) rebuild each.
 ///
 /// Layout is a counting-sorted CSR: `starts_` offsets into `items_`,
 /// which holds data indices bucket-major and ascending within each bucket
 /// (counting sort is stable, pending entries are appended in index order
 /// and every pending index is greater than every folded one). The side
-/// length targets ~1 object per bucket (side ≈ √n, so the offsets array
-/// stays O(n)); fine buckets keep the one-bucket safety pad below cheap.
-/// With one bucket the probe degenerates to the full scan, so tiny groups
-/// pay no indexing overhead beyond the O(n) build.
+/// length is GridSide(live rows), ~1 object per bucket; fine buckets keep
+/// the one-bucket safety pad below cheap.
 ///
 /// Appended positions may fall outside the bounding box the bucket
 /// geometry was derived from; they are clamped into the boundary buckets.
@@ -127,25 +190,9 @@ class CellGridIndex {
     if (dead != nullptr && dead->empty()) dead = nullptr;
     pending_.clear();
     indexed_n_ = positions.size();
-    contiguous_ = dead == nullptr;
-    std::size_t live_n = 0;
-    double min_x = 0.0, max_x = 0.0, min_y = 0.0, max_y = 0.0;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      if (dead != nullptr && (*dead)[i]) continue;
-      const geo::Point& p = positions[i];
-      if (live_n == 0) {
-        min_x = max_x = p.x;
-        min_y = max_y = p.y;
-      } else {
-        min_x = std::min(min_x, p.x);
-        max_x = std::max(max_x, p.x);
-        min_y = std::min(min_y, p.y);
-        max_y = std::max(max_y, p.y);
-      }
-      ++live_n;
-    }
-    built_n_ = live_n;
-    if (live_n == 0) {
+    const CellExtent extent = CellExtent::Of(positions, dead);
+    built_n_ = extent.rows;
+    if (extent.rows == 0) {
       if (indexed_n_ == 0) return;
       // All rows masked: serve an empty one-bucket index (probes find
       // nothing), exactly what a fresh build over zero rows serves.
@@ -156,13 +203,11 @@ class CellGridIndex {
       items_.clear();
       return;
     }
-    min_x_ = min_x;
-    min_y_ = min_y;
-    const double target = std::ceil(std::sqrt(static_cast<double>(live_n)));
-    side_ = static_cast<uint32_t>(
-        std::clamp(target, 1.0, static_cast<double>(kMaxSide)));
-    const double w = max_x - min_x;
-    const double h = max_y - min_y;
+    min_x_ = extent.min_x;
+    min_y_ = extent.min_y;
+    side_ = GridSide(extent.rows);
+    const double w = extent.max_x - extent.min_x;
+    const double h = extent.max_y - extent.min_y;
     inv_w_ = w > 0.0 ? static_cast<double>(side_) / w : 0.0;
     inv_h_ = h > 0.0 ? static_cast<double>(side_) / h : 0.0;
 
@@ -174,7 +219,7 @@ class CellGridIndex {
     for (std::size_t b = 1; b < starts_.size(); ++b) {
       starts_[b] += starts_[b - 1];
     }
-    items_.resize(live_n);
+    items_.resize(extent.rows);
     cursor_.assign(starts_.begin(), starts_.end() - 1);
     for (std::size_t i = 0; i < positions.size(); ++i) {
       if (dead != nullptr && (*dead)[i]) continue;
@@ -232,7 +277,6 @@ class CellGridIndex {
     inv_w_ = inv_h_ = 0.0;
     built_n_ = 0;
     indexed_n_ = 0;
-    contiguous_ = true;
   }
 
   /// Invokes `fn(i)` for every data index i whose position can lie within
@@ -259,25 +303,14 @@ class CellGridIndex {
 
   /// The ForEachCandidate set in ascending data-index order (eSPQsco's
   /// Lemma-3 first-hit reporting depends on it). `out` is caller-owned
-  /// scratch, reused across probes. A probe covering every bucket (r
-  /// comparable to the cell edge) short-circuits to 0..n-1 — ascending by
-  /// construction, and pending indices are exactly the trailing range —
-  /// instead of paying a per-feature collect + sort just to reproduce the
-  /// linear scan's order.
+  /// scratch, reused across probes. The join rule sends only probes that
+  /// cover a small share of the cell here, so the collect + sort stays
+  /// short.
   void SortedCandidates(const geo::Point& p, double r,
                         std::vector<uint32_t>* out) const {
     out->clear();
     if (indexed_n_ == 0) return;
     const BucketRange range = ProbeRange(p, r);
-    // The full-cover short-circuit assumes the indexed rows are exactly
-    // 0..n-1; a dead-masked build skips rows, so it takes the generic
-    // collect + sort path (same set, same ascending order).
-    if (contiguous_ && range.x_lo == 0 && range.y_lo == 0 &&
-        range.x_hi == side_ - 1 && range.y_hi == side_ - 1) {
-      out->resize(indexed_n_);
-      std::iota(out->begin(), out->end(), 0u);
-      return;
-    }
     for (uint32_t by = range.y_lo; by <= range.y_hi; ++by) {
       const std::size_t row = static_cast<std::size_t>(by) * side_;
       for (uint32_t bx = range.x_lo; bx <= range.x_hi; ++bx) {
@@ -294,7 +327,6 @@ class CellGridIndex {
   }
 
  private:
-  static constexpr uint32_t kMaxSide = 256;
   /// Pending-list bound: probes pay O(|pending|) extra, so the list stays
   /// small; folding costs O(n + side²) amortized over kMaxPending appends.
   static constexpr std::size_t kMaxPending = 32;
@@ -379,42 +411,77 @@ class CellGridIndex {
   std::vector<std::pair<uint32_t, uint32_t>> pending_;
   std::size_t built_n_ = 0;    ///< rows folded into the CSR arrays
   std::size_t indexed_n_ = 0;  ///< physical rows covered (incl. pending)
-  /// False after a dead-masked Build: items_ are then a strict subset of
-  /// 0..indexed_n_-1 and the full-cover iota short-circuit is invalid.
-  bool contiguous_ = true;
+};
+
+/// The join structures of one cell: its live extent, which the join rule
+/// reads, and the grid index, which exists only when the rule can pick it
+/// (at least kIndexMinRows live rows) — smaller cells build none.
+struct CellJoinIndex {
+  CellExtent extent;
+  CellGridIndex grid;
+
+  /// (Re)builds both over the rows `dead` leaves live (frozen cells).
+  void Build(const std::vector<geo::Point>& positions,
+             const std::vector<uint8_t>* dead = nullptr) {
+    if (dead != nullptr && dead->empty()) dead = nullptr;
+    extent = CellExtent::Of(positions, dead);
+    grid.Reset();
+    if (extent.rows >= kIndexMinRows) grid.Build(positions, dead);
+  }
+
+  /// Forgets everything, keeping the buffers' capacity.
+  void Reset() {
+    extent = CellExtent{};
+    grid.Reset();
+  }
+
+  /// Growing (owned) cells: absorbs the rows appended since the last call
+  /// into the extent, applies the join rule, and brings the index up to
+  /// date when the rule picks it.
+  bool PrepareGrowing(const std::vector<geo::Point>& positions, double r) {
+    for (std::size_t i = extent.rows; i < positions.size(); ++i) {
+      extent.Absorb(positions[i]);
+    }
+    if (!UseGridIndex(extent, r)) return false;
+    grid.Sync(positions);
+    return true;
+  }
 };
 
 /// The reduce cores access cell state through one of two borrowed refs.
 /// The ref decides, at compile time, whether the group may still grow:
 ///
-///  - OwnedCellRef: mutable cell + index, private to the calling task. Data
-///    records streaming through the group accumulate via Add and the index
-///    lazily Syncs against the grown positions before each probe. Used by
-///    the cold path (fresh locals per group, see RunReduceOwned) and the
-///    batched job's per-task replay cache.
-///  - FrozenCellRef: const cell + const FULLY BUILT index — an immutable
-///    store partition that any number of concurrent queries may share.
-///    Add is impossible by construction (warm streams carry only features;
-///    hitting it is a caller bug and asserts) and SyncIndex is a no-op
-///    (materialization builds the index eagerly, so serving never mutates).
+///  - OwnedCellRef: mutable cell + join structures, private to the calling
+///    task. Data records streaming through the group accumulate via Add,
+///    and the extent and index catch up with the grown rows before the
+///    next probe. Used by the cold path (fresh locals per group, see
+///    RunReduceOwned) and the batched job's per-task replay cache.
+///  - FrozenCellRef: const cell + const FULLY BUILT join structures — an
+///    immutable store partition that any number of concurrent queries may
+///    share. Add is impossible by construction (warm streams carry only
+///    features; hitting it is a caller bug and asserts) and the join rule
+///    only reads the extent (materialization built the index eagerly, so
+///    serving never mutates).
 struct OwnedCellRef {
   CellData* cell;
-  CellGridIndex* index;
+  CellJoinIndex* join;
 
   const CellData& data() const { return *cell; }
-  const CellGridIndex& idx() const { return *index; }
+  const CellGridIndex& idx() const { return join->grid; }
   /// Owned groups stream records in; nothing is ever tombstoned.
   const std::vector<uint32_t>* DeadRows() const { return nullptr; }
   template <typename X>
   void Add(const X& x) {
     cell->Add(x);
   }
-  void SyncIndex() { index->Sync(cell->positions); }
+  bool PrepareIndex(double r) {
+    return join->PrepareGrowing(cell->positions, r);
+  }
 };
 
 struct FrozenCellRef {
   const CellData* cell;
-  const CellGridIndex* index;
+  const CellJoinIndex* join;
   /// Row indices tombstoned by the mutable-store layer (nullptr or empty
   /// when the partition is clean). The cores mask these out of their
   /// per-query scratch BEFORE any pair is counted, which is provably
@@ -423,7 +490,7 @@ struct FrozenCellRef {
   const std::vector<uint32_t>* dead_rows = nullptr;
 
   const CellData& data() const { return *cell; }
-  const CellGridIndex& idx() const { return *index; }
+  const CellGridIndex& idx() const { return join->grid; }
   const std::vector<uint32_t>* DeadRows() const {
     return (dead_rows != nullptr && !dead_rows->empty()) ? dead_rows : nullptr;
   }
@@ -435,33 +502,40 @@ struct FrozenCellRef {
     // loudly in debug builds rather than corrupt concurrent readers.
     assert(false && "data record reached a frozen (immutable) cell");
   }
-  void SyncIndex() const {}  // index is complete at materialization
+  bool PrepareIndex(double r) const {
+    const bool use = UseGridIndex(join->extent, r);
+    assert(!use || join->grid.built_size() == cell->size());
+    return use;
+  }
 };
 
 namespace internal {
 
-/// Per-group scratch for the batched distance kernel (KernelMode::kAuto):
-/// surviving candidate indices, their gathered coordinates in SoA form,
-/// and the kernel's verdict bytes. One instance lives per reduce group and
-/// is reused across that group's feature probes, so the steady state does
-/// no allocation — the buffers only grow to the largest probe seen.
-struct ProbeScratch {
-  std::vector<uint32_t> idx;
-  std::vector<double> xs;
-  std::vector<double> ys;
-  std::vector<uint8_t> within;
+/// The branch one group's probes take: always the scan under
+/// JoinMode::kLinearScan, the join rule's pick under kAuto. The rule is
+/// re-applied only when the cell holds more rows than at the last probe
+/// (owned cells stream their rows in), so a group pays it about once.
+class JoinChoice {
+ public:
+  JoinChoice(JoinMode mode, double radius)
+      : rule_(mode == JoinMode::kAuto), radius_(radius) {}
 
-  /// Copies candidate i's coordinates into the SoA lanes (resize first).
-  void Gather(const std::vector<geo::Point>& positions) {
-    const std::size_t n = idx.size();
-    xs.resize(n);
-    ys.resize(n);
-    within.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      xs[j] = positions[idx[j]].x;
-      ys[j] = positions[idx[j]].y;
+  template <typename CellRef>
+  bool UseIndex(CellRef& ref) {
+    if (!rule_) return false;
+    const std::size_t rows = ref.data().size();
+    if (rows != rows_seen_) {
+      rows_seen_ = rows;
+      use_index_ = ref.PrepareIndex(radius_);
     }
+    return use_index_;
   }
+
+ private:
+  bool rule_;
+  double radius_;
+  std::size_t rows_seen_ = std::numeric_limits<std::size_t>::max();
+  bool use_index_ = false;
 };
 
 /// w(x, q) for the pSPQ/eSPQlen threshold test, exact wherever it can
@@ -484,11 +558,11 @@ inline bool CanEnter(double w, const TopKList& lk) {
 }
 
 /// The pSPQ/eSPQlen inner loop for one surviving feature: visits either
-/// every data object (kLinearScan) or the index candidates (kGridIndex)
-/// and applies the identical threshold-skip + distance test. The visit
-/// order is irrelevant here — each index is tested at most once per
-/// feature against pre-feature scores, and TopKList selection is a strict
-/// total order — so the unordered bucket walk is safe.
+/// every data object (scan) or the index candidates (`use_index`) and
+/// applies the identical threshold-skip + distance test. The visit order
+/// is irrelevant here — each index is tested at most once per feature
+/// against pre-feature scores, and TopKList selection is a strict total
+/// order — so the unordered bucket walk is safe.
 ///
 /// `scores` is the query's running best-score array (parallel to the cell
 /// arrays, owned by the caller's QueryScratch): this function is the only
@@ -498,70 +572,29 @@ inline bool CanEnter(double w, const TopKList& lk) {
 /// beat the k-th entry on the id tie-break, so ids not below the k-th
 /// entry's id are skipped before the pair is counted. The limit is read
 /// once per probe: entries admitted during the probe only lower it, so a
-/// fixed limit is a (sound) superset filter, and both kernel modes apply
-/// the same one.
-///
-/// KernelMode::kAuto runs the same probe in three passes: gather the
-/// indices passing the threshold skip, evaluate their distances through
-/// simd::DistanceWithinMask, then apply the hits. This is bit-identical to
-/// the one-at-a-time kScalar loop: every index is visited at most once per
-/// probe, so the threshold reads `scores[i]` sees at gather time are
-/// exactly the values the scalar loop sees at visit time (a probe only
-/// writes scores[i] for indices it visits, never twice), the kernel's lane
-/// arithmetic matches geo::Distance2 operation-for-operation (simd.h), and
-/// `pairs` counts the gathered indices — the same set the scalar loop
-/// counts one by one.
+/// fixed limit is a (sound) superset filter, and both branches apply the
+/// same one.
 template <typename CellRef, typename X>
-inline void ScoreFeatureAgainstCell(const SpqJobOptions& options, const X& x,
-                                    double w, double radius, double r2,
-                                    CellRef& ref, std::vector<double>& scores,
-                                    TopKList& lk, uint64_t& pairs,
-                                    ProbeScratch& scratch) {
+inline void ScoreFeatureAgainstCell(const X& x, double w, double radius,
+                                    double r2, bool use_index, CellRef& ref,
+                                    std::vector<double>& scores, TopKList& lk,
+                                    uint64_t& pairs) {
   const CellData& cell = ref.data();
   const bool ties_tau = lk.full() && w == lk.Threshold();
   const ObjectId kth_id = ties_tau ? lk.entries().back().id : 0;
-  // Cannot improve p's score, or ties τ without beating the k-th entry.
-  auto skip = [&](std::size_t i) {
-    return w <= scores[i] || (ties_tau && cell.ids[i] >= kth_id);
-  };
-  if (options.kernel_mode == simd::KernelMode::kScalar) {
-    auto test = [&](std::size_t i) {
-      if (skip(i)) return;
-      ++pairs;
-      if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
-        scores[i] = w;
-        lk.Update(cell.ids[i], w);
-      }
-    };
-    if (options.join_mode == JoinMode::kGridIndex) {
-      ref.SyncIndex();
-      ref.idx().ForEachCandidate(x.pos, radius, test);
-    } else {
-      for (std::size_t i = 0; i < cell.size(); ++i) test(i);
+  auto test = [&](std::size_t i) {
+    // Cannot improve p's score, or ties τ without beating the k-th entry.
+    if (w <= scores[i] || (ties_tau && cell.ids[i] >= kth_id)) return;
+    ++pairs;
+    if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
+      scores[i] = w;
+      lk.Update(cell.ids[i], w);
     }
-    return;
-  }
-  scratch.idx.clear();
-  auto gather = [&](std::size_t i) {
-    if (!skip(i)) scratch.idx.push_back(static_cast<uint32_t>(i));
   };
-  if (options.join_mode == JoinMode::kGridIndex) {
-    ref.SyncIndex();
-    ref.idx().ForEachCandidate(x.pos, radius, gather);
+  if (use_index) {
+    ref.idx().ForEachCandidate(x.pos, radius, test);
   } else {
-    for (std::size_t i = 0; i < cell.size(); ++i) gather(i);
-  }
-  const std::size_t n = scratch.idx.size();
-  if (n == 0) return;
-  pairs += n;
-  scratch.Gather(cell.positions);
-  simd::DistanceWithinMask(scratch.xs.data(), scratch.ys.data(), n, x.pos.x,
-                           x.pos.y, r2, scratch.within.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!scratch.within[j]) continue;
-    const uint32_t i = scratch.idx[j];
-    scores[i] = w;
-    lk.Update(cell.ids[i], w);
+    for (std::size_t i = 0; i < cell.size(); ++i) test(i);
   }
 }
 
@@ -582,8 +615,6 @@ struct QueryScratch {
   std::vector<uint8_t> reported;
   /// SortedCandidates output, reused across probes.
   std::vector<uint32_t> sorted;
-  /// Batched distance-kernel lanes.
-  internal::ProbeScratch probe;
 };
 
 /// The reduce cores below BORROW their cell state through a CellRef
@@ -617,6 +648,7 @@ void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
       scratch.scores[i] = std::numeric_limits<double>::infinity();
     }
   }
+  internal::JoinChoice join(options.join_mode, query.radius);
   uint64_t examined = 0;
   uint64_t pairs = 0;
   while (values.Next()) {
@@ -629,9 +661,9 @@ void RunPspq(const Query& query, const SpqJobOptions& options, CellRef& cell,
     ++examined;
     const double w = internal::TieAwareScore(x, q_ids, lk);
     if (internal::CanEnter(w, lk)) {
-      internal::ScoreFeatureAgainstCell(options, x, w, query.radius, r2, cell,
-                                        scratch.scores, lk, pairs,
-                                        scratch.probe);
+      internal::ScoreFeatureAgainstCell(x, w, query.radius, r2,
+                                        join.UseIndex(cell), cell,
+                                        scratch.scores, lk, pairs);
     }
   }
   tally.Add(counter::kFeaturesExamined, examined);
@@ -656,6 +688,7 @@ void RunEspqLen(const Query& query, const SpqJobOptions& options,
       scratch.scores[i] = std::numeric_limits<double>::infinity();
     }
   }
+  internal::JoinChoice join(options.join_mode, query.radius);
   uint64_t examined = 0;
   uint64_t pairs = 0;
   while (values.Next()) {
@@ -676,9 +709,9 @@ void RunEspqLen(const Query& query, const SpqJobOptions& options,
     ++examined;
     const double w = internal::TieAwareScore(x, q_ids, lk);
     if (internal::CanEnter(w, lk)) {
-      internal::ScoreFeatureAgainstCell(options, x, w, query.radius, r2, cell,
-                                        scratch.scores, lk, pairs,
-                                        scratch.probe);
+      internal::ScoreFeatureAgainstCell(x, w, query.radius, r2,
+                                        join.UseIndex(cell), cell,
+                                        scratch.scores, lk, pairs);
     }
   }
   tally.Add(counter::kFeaturesExamined, examined);
@@ -697,15 +730,15 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
   // (warm path); grows with Add on the owned path.
   std::vector<uint8_t>& reported = qscratch.reported;
   reported.assign(cell_ref.data().size(), 0);
-  // Tombstoned rows (mutable store) are pre-marked reported: both kernel
-  // modes consult `reported[i]` BEFORE counting a pair or emitting, and a
+  // Tombstoned rows (mutable store) are pre-marked reported: both join
+  // branches consult `reported[i]` BEFORE counting a pair or emitting, and a
   // pre-marked row never increments reported_count — bit-identical, for
   // results and every counter, to the row being physically absent.
   if (const std::vector<uint32_t>* dead = cell_ref.DeadRows()) {
     for (uint32_t i : *dead) reported[i] = 1;
   }
-  std::vector<uint32_t>& probe_scratch = qscratch.sorted;
-  internal::ProbeScratch& scratch = qscratch.probe;
+  std::vector<uint32_t>& candidates = qscratch.sorted;
+  internal::JoinChoice join(options.join_mode, query.radius);
   const double r2 = query.radius * query.radius;
   const CellData& cell = cell_ref.data();
   uint32_t reported_count = 0;
@@ -729,74 +762,31 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
     ++examined;
     // Lemma 3 reports in ascending data-index order and stops at k, so the
     // indexed probe must replay candidates in exactly that order.
+    auto test = [&](std::size_t i) {
+      if (reported[i]) return false;
+      ++pairs;
+      if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
+        // Decreasing-score order makes w the final τ(p) (Lemma 3).
+        emit(ResultEntry{cell.ids[i], w});
+        reported[i] = 1;
+        if (++reported_count == query.k) return true;
+      }
+      return false;
+    };
     bool done = false;
-    if (options.kernel_mode == simd::KernelMode::kScalar) {
-      auto test = [&](std::size_t i) {
-        if (reported[i]) return false;
-        ++pairs;
-        if (geo::Distance2(cell.positions[i], x.pos) <= r2) {
-          // Decreasing-score order makes w the final τ(p) (Lemma 3).
-          emit(ResultEntry{cell.ids[i], w});
-          reported[i] = 1;
-          if (++reported_count == query.k) return true;
-        }
-        return false;
-      };
-      if (options.join_mode == JoinMode::kGridIndex) {
-        cell_ref.SyncIndex();
-        cell_ref.idx().SortedCandidates(x.pos, query.radius, &probe_scratch);
-        for (uint32_t i : probe_scratch) {
-          if (test(i)) {
-            done = true;
-            break;
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < cell.size(); ++i) {
-          if (test(i)) {
-            done = true;
-            break;
-          }
+    if (join.UseIndex(cell_ref)) {
+      cell_ref.idx().SortedCandidates(x.pos, query.radius, &candidates);
+      for (uint32_t i : candidates) {
+        if (test(i)) {
+          done = true;
+          break;
         }
       }
     } else {
-      // Batched: gather the ascending not-yet-reported candidates, run the
-      // kernel over all of them speculatively, then replay the verdicts in
-      // order. `pairs` counts only the lanes the replay actually walks —
-      // the replay stops at the k-th report exactly where the scalar loop
-      // stops testing, so lanes evaluated past that point (speculation the
-      // batch paid for but Lemma 3 never needed) stay uncounted and the
-      // counter matches kScalar bit for bit. The gather-time `reported[i]`
-      // reads equal the scalar loop's visit-time reads because a probe
-      // sees each index once and only writes reported[] for indices it
-      // walks.
-      scratch.idx.clear();
-      if (options.join_mode == JoinMode::kGridIndex) {
-        cell_ref.SyncIndex();
-        cell_ref.idx().SortedCandidates(x.pos, query.radius, &probe_scratch);
-        for (uint32_t i : probe_scratch) {
-          if (!reported[i]) scratch.idx.push_back(i);
-        }
-      } else {
-        for (std::size_t i = 0; i < cell.size(); ++i) {
-          if (!reported[i]) scratch.idx.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      const std::size_t n = scratch.idx.size();
-      if (n != 0) {
-        scratch.Gather(cell.positions);
-        simd::DistanceWithinMask(scratch.xs.data(), scratch.ys.data(), n,
-                                 x.pos.x, x.pos.y, r2, scratch.within.data());
-        for (std::size_t j = 0; j < n; ++j) {
-          ++pairs;
-          if (!scratch.within[j]) continue;
-          const uint32_t i = scratch.idx[j];
-          emit(ResultEntry{cell.ids[i], w});
-          reported[i] = 1;
-          if (++reported_count == query.k) {
-            done = true;
-            break;
-          }
+      for (std::size_t i = 0; i < cell.size(); ++i) {
+        if (test(i)) {
+          done = true;
+          break;
         }
       }
     }
@@ -811,8 +801,8 @@ void RunEspqSco(const Query& query, const SpqJobOptions& options,
 
 /// Dispatch by algorithm, joining against a borrowed cell ref + per-query
 /// scratch (see the borrowing contract above). `options` supplies the join
-/// mode and the distance-kernel mode; the keyword knobs are map-side /
-/// warm-serving concerns the cores never read.
+/// mode; the keyword knobs are map-side / warm-serving concerns the cores
+/// never read.
 template <typename CellRef, typename Values, typename EmitFn>
 void RunReduce(Algorithm algo, const SpqJobOptions& options,
                const Query& query, CellRef& cell, QueryScratch& scratch,
@@ -842,9 +832,9 @@ void RunReduceOwned(Algorithm algo, const SpqJobOptions& options,
                     const Query& query, Values& values,
                     counter::Tally& tally, EmitFn&& emit) {
   CellData cell;
-  CellGridIndex index;
+  CellJoinIndex join;
   QueryScratch scratch;
-  OwnedCellRef ref{&cell, &index};
+  OwnedCellRef ref{&cell, &join};
   RunReduce(algo, options, query, ref, scratch, values, tally, emit);
 }
 

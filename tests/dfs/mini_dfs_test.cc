@@ -4,7 +4,9 @@
 
 #include <set>
 
+#include "common/hash.h"
 #include "common/random.h"
+#include "mapreduce/fault.h"
 
 namespace spq::dfs {
 namespace {
@@ -179,6 +181,68 @@ TEST(MiniDfsTest, InjectedStorageFaultsDetectedByChecksums) {
   EXPECT_EQ(*read, data);
   EXPECT_GT(dfs.faulty_replica_writes() + dfs.corrupt_replicas_detected(),
             0u);
+}
+
+// Every read-fault kind, injected on the view path (ReadFileView serves a
+// single-block file straight from the replica): a faulted replica read
+// must fail over, and whatever comes back — view, copy or block — is the
+// bytes that were written, or an IOError. Never corrupt bytes.
+TEST(MiniDfsTest, InjectedReadFaultsOnViewPathFailOverNeverCorrupt) {
+  DfsOptions options{.num_datanodes = 6, .block_size = 4096,
+                     .replication = 3, .seed = 5};
+  options.faults.storage_fault_prob = 0.4;
+  options.faults.seed = 91;
+  MiniDfs dfs(options);
+  std::vector<std::vector<uint8_t>> files;
+  for (int i = 0; i < 60; ++i) {
+    files.push_back(RandomBytes(1 + 37 * i, 100 + i));
+    ASSERT_TRUE(dfs.WriteFile("f" + std::to_string(i), files.back()).ok());
+  }
+  // The read-site hash of mini_dfs.cc, to learn which kind each replica
+  // read gets.
+  auto read_fault = [&](BlockId block, NodeId node) {
+    const uint64_t site =
+        HashCombine(Mix64(block), Mix64(static_cast<uint64_t>(node) << 1));
+    return mapreduce::StorageFaultAt(options.faults, site);
+  };
+  std::set<mapreduce::StorageFaultKind> kinds_failed_over;
+  uint64_t served = 0;
+  for (int i = 0; i < 60; ++i) {
+    const std::string name = "f" + std::to_string(i);
+    const uint64_t detected_before = dfs.corrupt_replicas_detected();
+    auto view = dfs.ReadFileView(name);
+    auto meta = dfs.GetMetadata(name);
+    ASSERT_TRUE(meta.ok());
+    ASSERT_EQ(meta->blocks.size(), 1u);
+    const auto first_kind =
+        read_fault(meta->blocks[0].block, meta->blocks[0].replicas[0]);
+    if (!view.ok()) {
+      EXPECT_TRUE(view.status().IsIOError()) << view.status().ToString();
+      EXPECT_TRUE(dfs.ReadFile(name).status().IsIOError());
+      continue;
+    }
+    ++served;
+    ASSERT_TRUE(view->block_crc().has_value());
+    EXPECT_EQ(*view->block_crc(), meta->blocks[0].crc32c);
+    EXPECT_EQ(std::vector<uint8_t>(view->data(), view->data() + view->size()),
+              files[i])
+        << name;
+    auto copy = dfs.ReadFile(name);
+    ASSERT_TRUE(copy.ok());
+    EXPECT_EQ(*copy, files[i]) << name;
+    auto block = dfs.ReadBlock(name, 0);
+    ASSERT_TRUE(block.ok());
+    EXPECT_EQ(*block, files[i]) << name;
+    if (first_kind != mapreduce::StorageFaultKind::kNone) {
+      // The first replica's read was faulted, yet the right bytes came
+      // back: the fault was detected and the read failed over.
+      EXPECT_GT(dfs.corrupt_replicas_detected(), detected_before) << name;
+      kinds_failed_over.insert(first_kind);
+    }
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_EQ(kinds_failed_over.size(), 3u)
+      << "every read-fault kind should have been exercised";
 }
 
 TEST(MiniDfsTest, ListAndDelete) {

@@ -374,6 +374,50 @@ TEST(DurabilityTest, AllReplicasCorruptRebuildsFromDataset) {
   EXPECT_GT(dfs.corrupt_replicas_detected(), 0u);
 }
 
+// A cell file whose bytes are self-consistent on the DFS (its block CRC
+// matches) but differ from what the checkpoint wrote (the manifest's CRC
+// does not): the single-block restore compares the manifest's size + CRC
+// with the block's recorded length + CRC, so it must still reject the
+// image and rebuild that one cell — results bit-identical, and the DFS
+// itself sees no corrupt replica.
+TEST(DurabilityTest, SelfConsistentForgedCellImageIsRebuilt) {
+  const EngineOptions options = MakeOptions(false, "forged");
+  SpqEngine builder(TestDataset(), options);
+  ASSERT_TRUE(builder.BuildStore(kMaxRadius).ok());
+  const std::vector<SpqResult> baseline = RunSuite(builder);
+
+  dfs::MiniDfs source(SmallDfs());
+  ASSERT_TRUE(builder.store()->Checkpoint(source, "store").ok());
+
+  // Large blocks: every file lands in the copy as ONE block.
+  dfs::MiniDfs copy(
+      {.num_datanodes = 5, .block_size = 1 << 20, .replication = 2});
+  std::string forged;
+  std::size_t forged_size = 0;
+  for (const std::string& file : CellFilesOf(source, 1)) {
+    auto meta = source.GetMetadata(file);
+    ASSERT_TRUE(meta.ok());
+    if (meta->size > forged_size) {
+      forged_size = meta->size;
+      forged = file;  // the largest cell: every suite query touches it
+    }
+  }
+  ASSERT_FALSE(forged.empty());
+  for (const std::string& file : source.ListFiles()) {
+    auto bytes = source.ReadFile(file);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    if (file == forged) (*bytes)[bytes->size() / 2] ^= 0x10;
+    ASSERT_TRUE(copy.WriteFile(file, *bytes).ok());
+  }
+
+  SpqEngine reader(TestDataset(), options);
+  ASSERT_TRUE(reader.OpenStore(copy, "store").ok());
+  ExpectSuitesIdentical(baseline, RunSuite(reader), "forged cell image");
+  EXPECT_EQ(reader.store()->cells_rebuilt(), 1u);
+  EXPECT_GT(reader.store()->cells_restored(), 0u);
+  EXPECT_EQ(copy.corrupt_replicas_detected(), 0u);
+}
+
 // A recovered store — some cells touched (materialized), some restored
 // but untouched, some never loaded — must checkpoint correctly from every
 // partition state (SegmentImageOf's three sources), and a store opened

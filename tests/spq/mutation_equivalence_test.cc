@@ -25,6 +25,7 @@
 #include "datagen/workload.h"
 #include "spq/cell_store.h"
 #include "spq/engine.h"
+#include "spq/reduce_core.h"
 
 namespace spq::core {
 namespace {
@@ -126,12 +127,14 @@ void ExpectBitIdentical(const SpqResult& want, const SpqResult& got,
 
 /// Queries the mutated engine and a fresh reference engine built over the
 /// logically-equivalent dataset (shadow data, same features/bounds) and
-/// demands bit-identity across a small radius/keyword mix.
+/// demands bit-identity across a small radius/keyword mix; `fracs` are the
+/// radii as fractions of kMaxRadius.
 void ExpectMatchesFreshRebuild(SpqEngine& mutated,
                                const std::vector<DataObject>& shadow,
                                const Dataset& base, const EngineOptions& opts,
                                Algorithm algo, uint64_t query_seed,
-                               const std::string& label) {
+                               const std::string& label,
+                               std::vector<double> fracs = {0.4, 1.0}) {
   Dataset logical;
   logical.data = shadow;
   logical.features = base.features;
@@ -140,7 +143,7 @@ void ExpectMatchesFreshRebuild(SpqEngine& mutated,
   if (!ref_opts.spill_dir.empty()) ref_opts.spill_dir += "-ref";
   SpqEngine reference(std::move(logical), ref_opts);
   ASSERT_TRUE(reference.BuildStore(kMaxRadius).ok()) << label;
-  for (double frac : {0.4, 1.0}) {  // mid-range and exactly at the boundary
+  for (double frac : fracs) {
     for (uint32_t kw : {1u, 3u}) {
       const Query q =
           MakeMutationQuery(query_seed + kw + (frac < 1.0 ? 0 : 40), kw,
@@ -295,6 +298,76 @@ TEST(MutationEquivalenceTest, DeleteAllInCellMatchesFreshRebuild) {
           std::string("delete-all-in-cell ") + AlgorithmName(algo) +
               (auto_compact ? " compact" : " nocompact"));
     }
+  }
+}
+
+// Directed edge case: inserts and deletes move one cell's live row count
+// across reduce_core::kIndexMinRows in both directions — first through
+// the delta log (cell not yet materialized), then on the materialized
+// cell. Small radii make the join rule pick the index whenever the cell
+// is at or above the threshold, so the warm results and every counter,
+// pairs_tested included, must track a fresh build across both branches.
+TEST(MutationEquivalenceTest, CrossingIndexMinRowsMatchesFreshRebuild) {
+  const Dataset base = MakeMutationDataset(74);
+  for (const bool auto_compact : {false, true}) {
+    EngineOptions options = MakeMutationOptions(
+        /*spill=*/false, auto_compact, auto_compact ? "cross_c" : "cross_nc");
+    SpqEngine engine(base, options);
+    ASSERT_TRUE(engine.BuildStore(kMaxRadius).ok());
+    // A copy: every mutation publishes a new store generation.
+    const geo::UniformGrid grid = engine.store()->grid();
+    const geo::CellId target = grid.CellAt(kGridSize / 2, kGridSize / 2);
+    const geo::Rect rect = grid.CellRect(target);
+    const uint64_t base_rows = engine.store()->live_record_count(target);
+    ASSERT_LT(base_rows, reduce_core::kIndexMinRows);
+
+    std::vector<DataObject> shadow = base.data;
+    std::mt19937_64 rng(1024);
+    std::uniform_real_distribution<double> unit(0.01, 0.99);
+    ObjectId next_id = 50'000'000;
+    auto insert = [&](uint64_t n) {
+      for (uint64_t i = 0; i < n; ++i) {
+        const DataObject o{
+            next_id++,
+            {rect.min_x + unit(rng) * (rect.max_x - rect.min_x),
+             rect.min_y + unit(rng) * (rect.max_y - rect.min_y)}};
+        ASSERT_TRUE(engine.Insert(o).ok());
+        shadow.push_back(o);
+      }
+    };
+    auto erase = [&](uint64_t n) {
+      // The newest rows in the target cell go first.
+      for (std::size_t i = shadow.size(); n > 0 && i-- > 0;) {
+        if (grid.CellOf(shadow[i].pos) != target) continue;
+        ASSERT_TRUE(engine.Delete(shadow[i].id).ok());
+        shadow.erase(shadow.begin() + static_cast<std::ptrdiff_t>(i));
+        --n;
+      }
+    };
+    auto check = [&](const std::string& step, bool indexed) {
+      const uint64_t live = engine.store()->live_record_count(target);
+      EXPECT_EQ(indexed, live >= reduce_core::kIndexMinRows) << step;
+      for (Algorithm algo :
+           {Algorithm::kPSPQ, Algorithm::kESPQLen, Algorithm::kESPQSco}) {
+        ExpectMatchesFreshRebuild(
+            engine, shadow, base, options, algo, 9'400,
+            step + " " + AlgorithmName(algo) +
+                (auto_compact ? " compact" : " nocompact"),
+            {0.02, 0.05, 1.0});
+      }
+      // Cells below the threshold never carry a grid index.
+      auto part = engine.store()->Serve(target);
+      ASSERT_TRUE(part.ok());
+      EXPECT_EQ(indexed, (*part)->join.grid.built_size() > 0) << step;
+    };
+
+    // Up through the delta log: the cell is untouched until check().
+    insert(reduce_core::kIndexMinRows + 20 - base_rows);
+    check("delta up", true);
+    erase(40);  // materialized cell drops below the threshold
+    check("ready down", false);
+    insert(40);  // and climbs back over it
+    check("ready up", true);
   }
 }
 
